@@ -168,8 +168,9 @@ func BenchmarkTheorem2SpeedAugmentation(b *testing.B) {
 // ---------------------------------------------------------------------------
 
 // benchEngineRun measures one full simulation of the bench workload under
-// one of the engine's execution loops (the per-cell cost of a matrix run).
-func benchEngineRun(b *testing.B, loop cluster.LoopMode) {
+// one scheduler and one of the engine's execution loops (the per-cell cost
+// of a matrix run).
+func benchEngineRun(b *testing.B, name string, loop cluster.LoopMode) {
 	b.Helper()
 	o := benchOptions()
 	tr, err := trace.Generate(o.TraceParams)
@@ -182,7 +183,7 @@ func benchEngineRun(b *testing.B, loop cluster.LoopMode) {
 	}
 	var slots int64
 	for i := 0; i < b.N; i++ {
-		s, err := sched.Build("srptms+c", sched.Params{
+		s, err := sched.Build(name, sched.Params{
 			Epsilon: experiments.TunedEpsilon, DeviationFactor: 3,
 		})
 		if err != nil {
@@ -205,19 +206,28 @@ func benchEngineRun(b *testing.B, loop cluster.LoopMode) {
 	b.ReportMetric(float64(slots), "final-slot")
 }
 
-// BenchmarkEngineEventCore is the production configuration: the
-// discrete-event loop over the priority-heap calendar. This is the
-// benchmark the CI gate holds against BENCH_BASELINE.json.
-func BenchmarkEngineEventCore(b *testing.B) { benchEngineRun(b, cluster.LoopAuto) }
+// BenchmarkEngineEventCore is the production configuration for SRPTMS+C:
+// the discrete-event loop over the priority-heap calendar.
+func BenchmarkEngineEventCore(b *testing.B) { benchEngineRun(b, "srptms+c", cluster.LoopAuto) }
 
-// BenchmarkEngineSlotForward is the slot-stepping loop with the idle-slot
-// fast-forward — what Mantri/LATE run on, measured on the same workload.
-func BenchmarkEngineSlotForward(b *testing.B) { benchEngineRun(b, cluster.LoopSlots) }
+// BenchmarkEngineNaiveLoop is SRPTMS+C on the naive slot-by-slot reference
+// loop, kept as the baseline the event core is measured against in-run
+// (the gate asserts the naive/event ratio, which cancels out machine
+// speed).
+func BenchmarkEngineNaiveLoop(b *testing.B) { benchEngineRun(b, "srptms+c", cluster.LoopNaive) }
 
-// BenchmarkEngineNaiveLoop is the naive slot-by-slot reference loop, kept
-// as the baseline the event core is measured against in-run (the gate
-// asserts the naive/event ratio, which cancels out machine speed).
-func BenchmarkEngineNaiveLoop(b *testing.B) { benchEngineRun(b, cluster.LoopNaive) }
+// BenchmarkEngineMantri is the Mantri baseline on the event loop, woken by
+// its check-tick timers.
+func BenchmarkEngineMantri(b *testing.B) { benchEngineRun(b, "mantri", cluster.LoopAuto) }
+
+// BenchmarkEngineMantriNaive is Mantri on the naive loop: the gate's
+// naive/event floor for Mantri fails if Mantri silently falls back to
+// per-slot invocations.
+func BenchmarkEngineMantriNaive(b *testing.B) { benchEngineRun(b, "mantri", cluster.LoopNaive) }
+
+// BenchmarkEngineLATE is the LATE baseline on the event loop, woken at its
+// solved slow-task crossings.
+func BenchmarkEngineLATE(b *testing.B) { benchEngineRun(b, "late", cluster.LoopAuto) }
 
 // BenchmarkCalibrationSpin is a fixed, allocation-free integer workload used
 // to normalize ns/op across machines: the CI gate divides each benchmark's

@@ -243,18 +243,25 @@ func emitBaseline(out io.Writer, samples map[string]sample) error {
 			AllocsPerOp: s.allocsPerOp,
 		}
 	}
-	if naive, ok := samples["BenchmarkEngineNaiveLoop"]; ok {
-		if event, ok := samples["BenchmarkEngineEventCore"]; ok {
-			base.MinRatios = append(base.MinRatios, ratio{
-				Slow: "BenchmarkEngineNaiveLoop",
-				Fast: "BenchmarkEngineEventCore",
-				Min:  round3(0.6 * naive.nsPerOp / event.nsPerOp),
-			})
+	for _, r := range capturedRatios {
+		slow, okSlow := samples[r.Slow]
+		fast, okFast := samples[r.Fast]
+		if okSlow && okFast {
+			r.Min = round3(0.6 * slow.nsPerOp / fast.nsPerOp)
+			base.MinRatios = append(base.MinRatios, r)
 		}
 	}
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
 	return enc.Encode(base)
+}
+
+// capturedRatios are the naive-over-event pairs a capture seeds floors
+// for: the event core against the naive loop, and Mantri on its wake-up
+// timers against Mantri invoked on every slot.
+var capturedRatios = []ratio{
+	{Slow: "BenchmarkEngineNaiveLoop", Fast: "BenchmarkEngineEventCore"},
+	{Slow: "BenchmarkEngineMantriNaive", Fast: "BenchmarkEngineMantri"},
 }
 
 func round3(v float64) float64 { return math.Round(v*1000) / 1000 }

@@ -68,17 +68,23 @@
 // # The engine
 //
 // The cluster simulator is a discrete-event engine with slot-exact
-// semantics. For the paper's event-driven schedulers (SRPTMS+C, SCA, Fair,
-// SRPT, offline, Dolly) time advances through a priority-heap calendar of
-// job arrivals and earliest copy completions — empty slots are never
-// visited; the slot-stepped baselines (Mantri, LATE) keep per-slot
-// progress inspection but skip provably idle stretches in one jump.
-// Workload draws are batched per launch and the per-copy bookkeeping is
-// pointer-free pooled memory, so the hot path does not allocate. All three
-// loops (naive, slot-stepping, event core) produce identical Results bit
-// for bit — pinned for every registered scheduler by the equivalence
-// harness in internal/cluster — and a CI benchmark gate (cmd/benchgate
-// against BENCH_BASELINE.json) holds the engine's cost per cell.
+// semantics. Time advances through a priority-heap calendar of job
+// arrivals and earliest copy completions, so empty slots are never
+// visited. The paper's event-driven schedulers (SRPTMS+C, SCA, Fair, SRPT,
+// offline, Dolly) are invoked only when launchable work exists. The
+// straggler-detection baselines (Mantri, LATE) are also invoked on every
+// arrival and completion and on wake-up timers they arm: progress is
+// linear in the simulator, so Mantri knows the next check tick at which a
+// task can qualify for a backup and LATE solves for the first slot at which
+// a task can fall below its phase mean. Workload draws are batched per
+// launch and the per-copy bookkeeping is pointer-free pooled memory, so
+// the hot path does not allocate. The event loop and the naive
+// slot-by-slot reference loop produce identical Results bit for bit —
+// pinned for every registered scheduler by the equivalence harness in
+// internal/cluster, and for Mantri and LATE also against full-scan
+// reference implementations kept in test code — and a CI benchmark gate
+// (cmd/benchgate against BENCH_BASELINE.json) holds the engine's cost per
+// cell for SRPTMS+C, Mantri and LATE.
 //
 // # Quick start
 //

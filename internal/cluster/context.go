@@ -58,14 +58,36 @@ func (c *Context) Launch(j *job.Job, t *job.Task, n int, gated bool) (int, error
 }
 
 // Rand returns a deterministic random stream for scheduler tie-breaking
-// (for example, "choose one unscheduled task at random"). Accessing the
-// stream marks the slot as randomized, which disables the engine's
-// idle-slot acceleration for the slot: skipping invocations that consume
-// randomness would shift every later draw. Schedulers must obtain the
-// stream through this method each slot rather than caching it.
+// (for example, "choose one unscheduled task at random"). An EventDriven
+// scheduler must draw from it only on invocations that launch at least one
+// copy: the event loop invokes it on fewer slots than the naive loop, and a
+// draw on an invocation one loop makes and the other skips would shift
+// every later draw. An invocation that draws counts as active, so the
+// event loop steps to the next slot instead of jumping to the next event.
+// Schedulers must obtain the stream through this method on each invocation
+// rather than caching it.
 func (c *Context) Rand() *rng.Source {
 	c.engine.randUsed = true
 	return c.engine.schedRand
+}
+
+// WakeAt asks the event loop to invoke the scheduler again at the given
+// slot even if no event happens by then; a slot at or before Now() means
+// the next slot. Several calls during one invocation keep the earliest
+// slot. Every invocation clears the wake-up, so a scheduler re-arms on
+// each invocation whatever it still needs; an invocation caused by an
+// event before the wake-up is due replaces it. A wake-up that falls due
+// while no machine is free or no job is alive is served at the first slot
+// on which the scheduler can be invoked again. The naive loop invokes the
+// scheduler on every slot and ignores wake-ups.
+func (c *Context) WakeAt(slot int64) {
+	e := c.engine
+	if slot <= e.slot {
+		slot = e.slot + 1
+	}
+	if slot < e.wake {
+		e.wake = slot
+	}
 }
 
 // CopyProgress describes one live copy of a task as a progress-reporting
@@ -77,31 +99,18 @@ type CopyProgress struct {
 	Gated    bool
 }
 
-// Progress returns progress reports for the live copies of t, oldest first.
-// It returns nil for tasks with no live copies.
-func (c *Context) Progress(t *job.Task) []CopyProgress {
+// AppendProgress appends progress reports for the live copies of t to dst,
+// oldest first, and returns the extended slice (dst unchanged for a task
+// with no live copy).
+func (c *Context) AppendProgress(dst []CopyProgress, t *job.Task) []CopyProgress {
 	tr, _ := t.Runtime.(*taskRun)
-	if tr == nil || len(tr.copies) == 0 {
-		return nil
+	if tr == nil {
+		return dst
 	}
-	out := make([]CopyProgress, 0, len(tr.copies))
-	for _, cp := range tr.copies {
-		if cp.gated {
-			out = append(out, CopyProgress{Gated: true})
-			continue
-		}
-		elapsed := c.engine.slot - cp.started
-		total := float64(cp.finish - cp.started)
-		frac := 0.0
-		if total > 0 {
-			frac = float64(elapsed) / total
-		}
-		if frac > 1 {
-			frac = 1
-		}
-		out = append(out, CopyProgress{Elapsed: elapsed, Fraction: frac})
+	for i := range tr.copies {
+		dst = append(dst, c.engine.progressOf(&tr.copies[i]))
 	}
-	return out
+	return dst
 }
 
 // BestProgress returns, without allocating, the progress report of the live
@@ -115,20 +124,13 @@ func (c *Context) BestProgress(t *job.Task) (best CopyProgress, ok bool) {
 		return CopyProgress{}, false
 	}
 	bestRem := 0.0
-	for _, cp := range tr.copies {
+	for i := range tr.copies {
+		cp := &tr.copies[i]
 		if cp.gated {
 			continue
 		}
-		elapsed := c.engine.slot - cp.started
-		total := float64(cp.finish - cp.started)
-		frac := 0.0
-		if total > 0 {
-			frac = float64(elapsed) / total
-		}
-		if frac > 1 {
-			frac = 1
-		}
-		p := CopyProgress{Elapsed: elapsed, Fraction: frac}
+		p := c.engine.progressOf(cp)
+		elapsed, frac := p.Elapsed, p.Fraction
 		switch {
 		case !ok:
 			best, ok = p, true
@@ -143,6 +145,23 @@ func (c *Context) BestProgress(t *job.Task) (best CopyProgress, ok bool) {
 		}
 	}
 	return best, ok
+}
+
+// progressOf is the progress report of one copy at the current slot.
+func (e *Engine) progressOf(cp *copyRecord) CopyProgress {
+	if cp.gated {
+		return CopyProgress{Gated: true}
+	}
+	elapsed := e.slot - cp.started
+	total := float64(cp.finish - cp.started)
+	frac := 0.0
+	if total > 0 {
+		frac = float64(elapsed) / total
+	}
+	if frac > 1 {
+		frac = 1
+	}
+	return CopyProgress{Elapsed: elapsed, Fraction: frac}
 }
 
 // Speed returns the configured machine speed (resource augmentation factor).

@@ -10,22 +10,25 @@
 //
 // # Execution loops
 //
-// The engine has two execution loops over the same event machinery (a
-// priority-heap calendar of copy completions plus an arrival cursor):
+// Production runs use one loop, the event loop, over a priority-heap
+// calendar of copy completions plus an arrival cursor. It advances directly
+// from one slot that matters to the next and accounts the slots in between
+// in bulk, so quiet stretches cost O(1) regardless of length. Which slots
+// matter depends on the scheduler:
 //
-//   - The event loop (EventDriven schedulers, the default) advances directly
-//     from event to event. Between an arrival and the next completion the
-//     observable state cannot change, so the scheduler is invoked only when
-//     an event just fired or launchable unscheduled work remains; quiet
-//     stretches cost O(1) regardless of length.
-//   - The slot loop (Mantri, LATE, and any scheduler with time-based
-//     triggers) steps slot by slot so progress-polling rules observe every
-//     tick, with the idle-slot fast-forward of earlier revisions jumping
-//     stretches where the scheduler provably cannot act.
+//   - An EventDriven scheduler is invoked only on slots where some alive job
+//     has unscheduled work it may launch, or where a wake-up it armed with
+//     Context.WakeAt is due. A Speculator — an EventDriven scheduler that
+//     backs up running tasks, such as Mantri or LATE — is also invoked on
+//     every slot where an arrival or a completion fired.
+//   - Any other scheduler is invoked on every slot with a free machine and
+//     an alive job; only slots on which it could not be invoked are skipped.
 //
-// Both loops produce results slot-for-slot identical to the naive
-// slot-by-slot reference loop (Config.Loop = LoopNaive); the equivalence
-// harness in equivalence_test.go pins this for every registered scheduler.
+// The naive slot-by-slot loop (Config.Loop = LoopNaive) invokes every
+// scheduler on every slot with a free machine and an alive job. It is the
+// reference the event loop must match: the equivalence harness in
+// equivalence_test.go requires identical Results from both loops for every
+// registered scheduler.
 package cluster
 
 import (
@@ -47,29 +50,48 @@ type Scheduler interface {
 	Schedule(ctx *Context)
 }
 
-// EventDriven marks schedulers whose Schedule is a pure function of the
-// observable cluster state — alive jobs' task states, free-machine count,
-// cluster size — so their decisions can only change when a completion or an
-// arrival changes that state. The engine runs such schedulers on the event
-// calendar: slots between events are never materialized, and the scheduler
-// is not invoked at all while no alive job has an unscheduled task it could
-// launch (see GatedLauncher for the one exception).
+// EventDriven marks schedulers that can run on the event calendar. The
+// event loop invokes an EventDriven scheduler only on slots where
 //
-// Implementations therefore promise, in addition to state-purity:
+//   - some alive job has an unscheduled task it may launch (see
+//     GatedLauncher for gated reduces),
+//   - a wake-up it armed with Context.WakeAt is due, or
+//   - for a Speculator, an arrival or a completion fired.
 //
-//   - Schedule launches copies of *unscheduled* tasks only (every scheduler
-//     in internal/sched does: speculative backups in Mantri/LATE are the
-//     counterexample, and those schedulers are not event-driven);
-//   - Schedule draws from ctx.Rand() only on invocations that launch at
-//     least one copy (randomness is used to pick among launch candidates).
+// Implementations promise that an invocation on any other slot would be
+// unobservable: it would launch nothing, draw nothing from ctx.Rand(), and
+// leave the scheduler's own state such that every later decision is the
+// same as if it had not been invoked. Invocations on extra slots must be
+// harmless in the same way, because the naive reference loop invokes the
+// scheduler on every slot with a free machine.
 //
-// Schedulers with time-based triggers — polling cadences keyed on Now(),
-// progress-age thresholds as in Mantri or LATE, or any internal mutable
-// state — must NOT implement this interface (or must return false): they can
-// legitimately launch a copy on a slot where nothing else happened.
+// A scheduler whose launches depend on the passage of time — a polling
+// cadence keyed on Now(), a progress-age threshold, a progress rate crossing
+// a phase mean — arms a wake-up for the earliest slot at which it might act
+// without an event. Waking early is always safe; waking late changes
+// results, which the equivalence harness catches.
 type EventDriven interface {
 	// EventDriven reports whether event-calendar execution is safe.
 	EventDriven() bool
+}
+
+// Speculator marks EventDriven schedulers that may launch copies of
+// running tasks (speculative backups). Whether a backup is warranted depends
+// on the running tasks' progress, which every completion changes, so the
+// event loop also invokes a Speculator on every slot where an arrival or a
+// completion fired.
+type Speculator interface {
+	// LaunchesBackups reports whether Schedule may back up running tasks.
+	LaunchesBackups() bool
+}
+
+// RunStarter is implemented by schedulers that keep state across Schedule
+// calls of one run, such as watch lists or armed wake-ups. The engine calls
+// StartRun once at the start of every Run, before the first Schedule call,
+// so one instance can serve successive runs. Such an instance still must
+// not be shared by concurrently running engines.
+type RunStarter interface {
+	StartRun()
 }
 
 // GatedLauncher marks schedulers that may launch gated reduce copies —
@@ -87,15 +109,11 @@ type GatedLauncher interface {
 type LoopMode int
 
 const (
-	// LoopAuto (the default) runs EventDriven schedulers on the event
-	// calendar and everything else on the slot loop with the idle-slot
-	// fast-forward.
+	// LoopAuto (the default) runs the event loop.
 	LoopAuto LoopMode = iota
-	// LoopSlots forces slot stepping with the idle-slot fast-forward, even
-	// for EventDriven schedulers. Used by the equivalence tests.
-	LoopSlots
-	// LoopNaive forces the naive slot-by-slot reference loop with no
-	// acceleration at all.
+	// LoopNaive runs the naive slot-by-slot reference loop, which invokes
+	// the scheduler on every slot with a free machine and an alive job.
+	// Used by the equivalence tests and the benchmark gate's speedup ratio.
 	LoopNaive
 )
 
@@ -104,8 +122,6 @@ func (m LoopMode) String() string {
 	switch m {
 	case LoopAuto:
 		return "auto"
-	case LoopSlots:
-		return "slots"
 	case LoopNaive:
 		return "naive"
 	default:
@@ -128,14 +144,9 @@ type Config struct {
 	// tie-breaking). Runs with equal seeds and schedulers are identical.
 	Seed int64
 	// Loop selects the execution loop; LoopAuto is correct for production
-	// runs. The slower modes exist so tests and validation runs can compare
-	// the loops pairwise.
+	// runs. LoopNaive exists so tests and validation runs can compare the
+	// event loop against the reference.
 	Loop LoopMode
-	// DisableFastForward is the pre-LoopMode spelling of Loop = LoopNaive,
-	// honored when Loop is LoopAuto.
-	//
-	// Deprecated: set Loop instead.
-	DisableFastForward bool
 }
 
 const defaultMaxSlots = 50_000_000
@@ -210,8 +221,8 @@ type Engine struct {
 	cfg           Config
 	sched         Scheduler
 	eventDriven   bool // sched implements EventDriven and opted in
+	speculative   bool // sched implements Speculator and opted in
 	gatedLaunches bool // sched implements GatedLauncher and opted in
-	useEvents     bool // resolved loop: event calendar vs slot stepping
 
 	slot    int64
 	free    int
@@ -241,6 +252,12 @@ type Engine struct {
 	unschedMap   int // unscheduled map tasks
 	unschedOpen  int // unscheduled reduce tasks with the map gate open
 	unschedGated int // unscheduled reduce tasks behind a closed map gate
+
+	// wake is the earliest slot at which the scheduler asked to be invoked
+	// through Context.WakeAt (noWake when none). Each invocation clears it;
+	// a wake-up that falls due while the scheduler cannot be invoked (no
+	// free machine or no alive job) stays due until it is.
+	wake int64
 
 	durations *rng.Source // stream for copy workload sampling
 	schedRand *rng.Source // stream handed to the scheduler
@@ -298,12 +315,14 @@ func New(cfg Config, sched Scheduler, specs []job.Spec) (*Engine, error) {
 	})
 	root := rng.New(cfg.Seed)
 	ed, _ := sched.(EventDriven)
+	sp, _ := sched.(Speculator)
 	gl, _ := sched.(GatedLauncher)
 	e := &Engine{
 		cfg:           cfg,
 		sched:         sched,
 		eventDriven:   ed != nil && ed.EventDriven(),
 		gatedLaunches: gl != nil && gl.LaunchesGatedCopies(),
+		wake:          noWake,
 		free:          cfg.Machines,
 		pending:       pending,
 		alivePos:      make(map[*job.Job]int),
@@ -311,35 +330,33 @@ func New(cfg Config, sched Scheduler, specs []job.Spec) (*Engine, error) {
 		durations:     root.Split("durations"),
 		schedRand:     root.Split("scheduler"),
 	}
-	mode := cfg.Loop
-	if mode == LoopAuto && cfg.DisableFastForward {
-		mode = LoopNaive
-	}
-	e.useEvents = mode == LoopAuto && e.eventDriven
+	e.speculative = e.eventDriven && sp != nil && sp.LaunchesBackups()
 	e.ctx = Context{engine: e}
 	return e, nil
 }
 
+// noWake is the wake field's "no wake-up armed" value.
+const noWake = math.MaxInt64
+
 // Run executes the simulation to completion and returns the result. The
-// execution loop is selected by Config.Loop (see the package comment); every
-// loop produces the identical Result for a given scheduler, seed, and spec
+// execution loop is selected by Config.Loop (see the package comment); both
+// loops produce the identical Result for a given scheduler, seed, and spec
 // set.
 func (e *Engine) Run() (*Result, error) {
-	if e.useEvents {
-		return e.runEvents()
+	if rs, ok := e.sched.(RunStarter); ok {
+		rs.StartRun()
 	}
-	mode := e.cfg.Loop
-	if mode == LoopAuto && e.cfg.DisableFastForward {
-		mode = LoopNaive
+	if e.cfg.Loop == LoopNaive {
+		return e.runNaive()
 	}
-	return e.runSlots(mode != LoopNaive)
+	return e.runEvents()
 }
 
-// runEvents is the discrete-event loop: the calendar of copy completions and
-// the arrival cursor define the only slots at which the observable state can
-// change, and the scheduler is invoked only when it might act — an event
-// just fired, or launchable unscheduled work remains from a slot on which it
-// launched something. All intervening slots are accounted in bulk.
+// runEvents is the discrete-event loop: the calendar of copy completions,
+// the arrival cursor and the scheduler's wake-up define the only slots at
+// which anything can happen, and the scheduler is invoked only on slots
+// where it might act (see invocationDue). All intervening slots are
+// accounted in bulk.
 func (e *Engine) runEvents() (*Result, error) {
 	total := len(e.pending)
 	for e.finishedJobs < total {
@@ -347,26 +364,29 @@ func (e *Engine) runEvents() (*Result, error) {
 			return nil, fmt.Errorf("%w: slot %d, %d/%d jobs finished",
 				ErrSlotOverflow, e.slot, e.finishedJobs, total)
 		}
-		e.admitArrivals()
-		e.processCompletions()
+		fired := e.admitArrivals()
+		if e.processCompletions() {
+			fired = true
+		}
 		quiet := true
-		if e.free > 0 && e.aliveCount > 0 && e.launchableWork() {
+		if e.free > 0 && e.aliveCount > 0 && e.invocationDue(fired) {
 			launchedBefore := e.totalCopies
 			e.randUsed = false
+			e.wake = noWake
 			e.sched.Schedule(&e.ctx)
 			if e.err != nil {
 				return nil, e.err
 			}
-			quiet = e.totalCopies == launchedBefore && !e.randUsed
+			quiet = e.eventDriven && e.totalCopies == launchedBefore && !e.randUsed
 		}
 		e.busy += int64(e.cfg.Machines - e.free)
 		next := e.slot + 1
 		if e.finishedJobs < total && quiet {
 			if t, ok := e.nextEventSlot(); !ok {
-				// No future arrival or completion can ever occur while jobs
-				// remain unfinished: the run is starved (for example, only
-				// gated copies are left). Jump past MaxSlots so the overflow
-				// guard reports it immediately.
+				// No future arrival, completion or wake-up can ever occur
+				// while jobs remain unfinished: the run is starved (for
+				// example, only gated copies are left). Jump past MaxSlots
+				// so the overflow guard reports it immediately.
 				next = e.cfg.MaxSlots + 1
 			} else if t > next {
 				// Slots next..t-1 are eventless; account their occupancy in
@@ -381,6 +401,17 @@ func (e *Engine) runEvents() (*Result, error) {
 	return e.result(), nil
 }
 
+// invocationDue reports whether the event loop must invoke the scheduler on
+// the current slot, given a free machine and an alive job; fired reports
+// whether an arrival or a completion happened on it. Schedulers that are not
+// EventDriven are invoked on every such slot.
+func (e *Engine) invocationDue(fired bool) bool {
+	if !e.eventDriven || e.wake <= e.slot {
+		return true
+	}
+	return e.launchableWork() || (fired && e.speculative)
+}
+
 // launchableWork reports whether any alive job has an unscheduled task the
 // scheduler is permitted to launch right now.
 func (e *Engine) launchableWork() bool {
@@ -388,15 +419,10 @@ func (e *Engine) launchableWork() bool {
 		(e.gatedLaunches && e.unschedGated > 0)
 }
 
-// runSlots is the slot-stepping loop: the scheduler is invoked on every slot
-// with a free machine and an alive job, so time-based rules (progress
-// polling, check intervals) observe each tick. With fastForward, slots on
-// which provably nothing can happen are skipped in one jump to min(next
-// arrival, next completion): a slot is skippable when no machine is free,
-// when no job is alive, or when an EventDriven scheduler was invoked but
-// launched nothing and drew no randomness — by the EventDriven contract it
-// would keep deciding the same until the state changes.
-func (e *Engine) runSlots(fastForward bool) (*Result, error) {
+// runNaive is the reference loop: it steps every slot and invokes the
+// scheduler whenever a machine is free and a job is alive. Wake-ups are
+// ignored — the scheduler sees every slot anyway.
+func (e *Engine) runNaive() (*Result, error) {
 	total := len(e.pending)
 	for e.finishedJobs < total {
 		if e.slot > e.cfg.MaxSlots {
@@ -405,8 +431,6 @@ func (e *Engine) runSlots(fastForward bool) (*Result, error) {
 		}
 		e.admitArrivals()
 		e.processCompletions()
-		launchedBefore := e.totalCopies
-		e.randUsed = false
 		if e.free > 0 && e.aliveCount > 0 {
 			e.sched.Schedule(&e.ctx)
 			if e.err != nil {
@@ -414,31 +438,25 @@ func (e *Engine) runSlots(fastForward bool) (*Result, error) {
 			}
 		}
 		e.busy += int64(e.cfg.Machines - e.free)
-		next := e.slot + 1
-		if e.finishedJobs < total && fastForward {
-			idle := e.free == 0 || e.aliveCount == 0 ||
-				(e.eventDriven && e.totalCopies == launchedBefore && !e.randUsed)
-			if idle {
-				if t, ok := e.nextEventSlot(); !ok {
-					next = e.cfg.MaxSlots + 1 // starved: report via the guard
-				} else if t > next {
-					e.busy += int64(e.cfg.Machines-e.free) * (t - next)
-					next = t
-				}
-			}
-		}
-		e.slot = next
+		e.slot++
 	}
 	return e.result(), nil
 }
 
-// nextEventSlot returns the earliest future slot at which the cluster state
-// can change: the next pending arrival or the next live copy completion.
-// ok is false when neither exists.
+// nextEventSlot returns the earliest future slot at which the event loop
+// may have to act: the next pending arrival, the next live copy completion,
+// or the scheduler's wake-up if it lies in the future (a wake-up already due
+// waits for an event that frees a machine or admits a job). ok is false
+// when none exists.
 func (e *Engine) nextEventSlot() (int64, bool) {
 	t, ok := int64(0), false
+	if e.wake > e.slot && e.wake != noWake {
+		t, ok = e.wake, true
+	}
 	if e.nextPending < len(e.pending) {
-		t, ok = e.pending[e.nextPending].Arrival, true
+		if a := e.pending[e.nextPending].Arrival; !ok || a < t {
+			t, ok = a, true
+		}
 	}
 	if tr := e.cal.peek(); tr != nil {
 		if f := tr.bestFinish; !ok || f < t {
@@ -448,11 +466,12 @@ func (e *Engine) nextEventSlot() (int64, bool) {
 	return t, ok
 }
 
-// admitArrivals materializes jobs whose arrival slot has come. The cursor
-// walk keeps per-arrival work O(1) without re-slicing pending (which would
-// pin the backing array's head while shifting the window one spec at a
-// time).
-func (e *Engine) admitArrivals() {
+// admitArrivals materializes jobs whose arrival slot has come and reports
+// whether any arrived. The cursor walk keeps per-arrival work O(1) without
+// re-slicing pending (which would pin the backing array's head while
+// shifting the window one spec at a time).
+func (e *Engine) admitArrivals() bool {
+	start := e.nextPending
 	for e.nextPending < len(e.pending) && e.pending[e.nextPending].Arrival <= e.slot {
 		spec := e.pending[e.nextPending]
 		e.nextPending++
@@ -473,18 +492,22 @@ func (e *Engine) admitArrivals() {
 			e.unschedGated += spec.ReduceTask
 		}
 	}
+	return e.nextPending != start
 }
 
 // processCompletions completes every task whose earliest copy finishes at
-// the current slot, in deterministic (finish, seq) order of those copies.
-func (e *Engine) processCompletions() {
+// the current slot, in deterministic (finish, seq) order of those copies,
+// and reports whether any did.
+func (e *Engine) processCompletions() bool {
+	done := false
 	for {
 		tr := e.cal.peek()
 		if tr == nil || tr.bestFinish > e.slot {
-			return
+			return done
 		}
 		e.cal.pop()
 		e.completeTask(tr)
+		done = true
 	}
 }
 

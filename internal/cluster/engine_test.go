@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -366,12 +367,15 @@ func TestProgressReports(t *testing.T) {
 			}
 		}
 		for _, mt := range j.RunningTasks(job.PhaseMap) {
-			ps := ctx.Progress(mt)
+			ps := ctx.AppendProgress(nil, mt)
 			if len(ps) != 1 {
 				t.Errorf("progress count = %d, want 1", len(ps))
 				continue
 			}
-			p := ps[0]
+			p, ok := ctx.BestProgress(mt)
+			if !ok || p != ps[0] {
+				t.Errorf("BestProgress = %+v, %v; want the only copy %+v", p, ok, ps[0])
+			}
 			wantElapsed := ctx.Now() // launched at slot 0
 			if p.Elapsed != wantElapsed {
 				t.Errorf("elapsed = %d, want %d", p.Elapsed, wantElapsed)
@@ -425,7 +429,7 @@ func TestResultSlotsIsLastFinish(t *testing.T) {
 		simpleSpec(t, 0, 0, 1, 0, 5, 0),
 		simpleSpec(t, 1, 100, 1, 0, 10, 0), // idle gap, then finishes at 110
 	}
-	for _, loop := range []LoopMode{LoopNaive, LoopSlots, LoopAuto} {
+	for _, loop := range []LoopMode{LoopNaive, LoopAuto} {
 		res := mustRun(t, Config{Machines: 1, Seed: 1, Loop: loop}, greedyScheduler{}, specs)
 		var finMax int64
 		for _, j := range res.Jobs {
@@ -512,19 +516,21 @@ func (gatedOnlyScheduler) Schedule(ctx *Context) {
 }
 
 // TestGatedStarvationDetectedImmediately pins the starvation path: when only
-// gated copies remain (no future arrival, nothing in the calendar), every
-// loop must report ErrSlotOverflow right away instead of stepping silently
-// through the MaxSlots horizon. The default 50M-slot horizon doubles as the
-// proof of immediacy — walking it slot by slot would time the test out.
+// gated copies remain (no future arrival, nothing in the calendar), the
+// event loop must report ErrSlotOverflow right away instead of stepping
+// silently through the MaxSlots horizon — for EventDriven schedulers and
+// for schedulers it invokes on every slot alike. The default 50M-slot
+// horizon doubles as the proof of immediacy — walking it slot by slot would
+// time the test out.
 func TestGatedStarvationDetectedImmediately(t *testing.T) {
 	specs := []job.Spec{simpleSpec(t, 0, 0, 1, 1, 10, 5)}
-	for _, loop := range []LoopMode{LoopSlots, LoopAuto} {
-		eng, err := New(Config{Machines: 2, Seed: 1, Loop: loop}, gatedOnlyScheduler{}, specs)
+	for _, s := range []Scheduler{gatedOnlyScheduler{}, schedulerFunc(gatedOnlyScheduler{}.Schedule)} {
+		eng, err := New(Config{Machines: 2, Seed: 1}, s, specs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := eng.Run(); !errors.Is(err, ErrSlotOverflow) {
-			t.Errorf("loop %v: want ErrSlotOverflow, got %v", loop, err)
+			t.Errorf("%T: want ErrSlotOverflow, got %v", s, err)
 		}
 	}
 }
@@ -541,5 +547,70 @@ func TestMultiJobInterleaving(t *testing.T) {
 	}
 	if res.Jobs[1].Flowtime != 10 {
 		t.Errorf("job B flowtime = %d, want 10", res.Jobs[1].Flowtime)
+	}
+}
+
+// wakeScheduler is an EventDriven scheduler that launches every
+// unscheduled map task, records the slots it is invoked on, and arms the
+// wake-ups plan lists for that slot.
+type wakeScheduler struct {
+	plan  map[int64][]int64
+	calls *[]int64
+}
+
+func (wakeScheduler) Name() string      { return "wake-test" }
+func (wakeScheduler) EventDriven() bool { return true }
+func (w wakeScheduler) Schedule(ctx *Context) {
+	*w.calls = append(*w.calls, ctx.Now())
+	for _, j := range ctx.AliveJobs() {
+		for _, t := range j.UnscheduledTasks(job.PhaseMap) {
+			if ctx.FreeMachines() > 0 {
+				if _, err := ctx.Launch(j, t, 1, false); err != nil {
+					panic(err)
+				}
+			}
+		}
+	}
+	for _, slot := range w.plan[ctx.Now()] {
+		ctx.WakeAt(slot)
+	}
+}
+
+// TestWakeAtInvocations pins the wake-up contract on the event loop: the
+// earliest of several wake-ups wins, a slot at or before Now() means the
+// next slot, every invocation clears the wake-up, and one that falls due
+// while no machine is free is served once a completion frees one — with
+// no launchable work and no other reason to invoke the scheduler.
+func TestWakeAtInvocations(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		machines int
+		specs    []job.Spec
+		plan     map[int64][]int64
+		want     []int64
+	}{
+		{
+			name:     "earliest, next slot, cleared",
+			machines: 2,
+			specs:    []job.Spec{simpleSpec(t, 0, 0, 1, 0, 100, 0)},
+			plan:     map[int64][]int64{0: {10, 7}, 7: {3}, 8: {50}},
+			want:     []int64{0, 7, 8, 50},
+		},
+		{
+			name:     "due while busy",
+			machines: 2,
+			specs: []job.Spec{
+				simpleSpec(t, 0, 0, 1, 0, 100, 0),
+				simpleSpec(t, 1, 0, 1, 0, 300, 0),
+			},
+			plan: map[int64][]int64{0: {5}},
+			want: []int64{0, 100},
+		},
+	} {
+		var calls []int64
+		mustRun(t, Config{Machines: tc.machines, Seed: 1}, wakeScheduler{plan: tc.plan, calls: &calls}, tc.specs)
+		if !reflect.DeepEqual(calls, tc.want) {
+			t.Errorf("%s: invoked on %v, want %v", tc.name, calls, tc.want)
+		}
 	}
 }

@@ -1,12 +1,11 @@
 package cluster_test
 
-// Equivalence harness for the engine's three execution loops. For every
+// Equivalence harness for the engine's two execution loops. For every
 // registered scheduler — event-driven (SRPTMS+C, SCA, Fair, SRPT, Offline,
-// Dolly) and time-driven (Mantri, LATE) alike — the event calendar
-// (LoopAuto), the slot loop with idle fast-forward (LoopSlots), and the
-// naive slot-by-slot reference (LoopNaive) must produce Results identical
-// field-for-field: per-job finish slots, busy integral, copy counts,
-// wasted workload, final slot.
+// Dolly) and speculative with wake-up timers (Mantri, LATE) alike — the
+// event calendar (LoopAuto) and the naive slot-by-slot reference
+// (LoopNaive) must produce Results identical field-for-field: per-job
+// finish slots, busy integral, copy counts, wasted workload, final slot.
 //
 // On top of pairwise loop agreement, TestPinnedAggregates pins the absolute
 // values these workloads produced before the discrete-event core landed
@@ -79,7 +78,6 @@ var loopModes = []struct {
 	mode cluster.LoopMode
 }{
 	{"naive", cluster.LoopNaive},
-	{"slots", cluster.LoopSlots},
 	{"events", cluster.LoopAuto},
 }
 

@@ -3,6 +3,7 @@ package mrclone
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -149,6 +150,41 @@ func TestCustomScheduler(t *testing.T) {
 	}
 	if res.Scheduler != "greedy-custom" {
 		t.Fatalf("scheduler name %q", res.Scheduler)
+	}
+}
+
+// TestSchedulerInstanceReuse runs one Mantri (and one LATE) instance
+// through two successive Run calls: the per-run watch state must not leak
+// from the first run into the second, and both must match a fresh
+// instance.
+func TestSchedulerInstanceReuse(t *testing.T) {
+	tr := smallTrace(t)
+	for _, name := range []string{"mantri", "late"} {
+		inst, err := NewScheduler(name, SchedulerParams{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(opt Option) *Result {
+			sim, err := NewSimulation(tr, WithMachines(120), WithSeed(3), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sim.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		first := run(WithCustomScheduler(inst))
+		if first.CloneCopies == 0 {
+			t.Fatalf("%s: no backups launched; the reuse test lost its power", name)
+		}
+		if second := run(WithCustomScheduler(inst)); !reflect.DeepEqual(first, second) {
+			t.Errorf("%s: second run of one instance differs from the first", name)
+		}
+		if fresh := run(WithScheduler(name)); !reflect.DeepEqual(first, fresh) {
+			t.Errorf("%s: reused instance differs from a fresh one", name)
+		}
 	}
 }
 
