@@ -22,6 +22,7 @@ import (
 	"mrclone/internal/experiments"
 	"mrclone/internal/runner"
 	"mrclone/internal/sched"
+	"mrclone/internal/service/spec"
 	"mrclone/internal/trace"
 )
 
@@ -291,6 +292,39 @@ func BenchmarkRunnerMatrix(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkRunnerSweep executes one cold event-sweep matrix — the six
+// event-driven schedulers × 300, 600 and 1200 machines × 1 run on the
+// 300-job bench trace — through internal/runner at parallelism 2, as the
+// benchmark's event-sweep workload does per request. It is gated for ns/op,
+// allocs/op and B/op: the runner layer's cost, and above all a return to
+// per-cell job slabs, shows here first.
+func BenchmarkRunnerSweep(b *testing.B) {
+	p := trace.GoogleParams()
+	p.Jobs = 300
+	ws := spec.Spec{
+		Version:  spec.Version,
+		Workload: spec.Workload{Trace: &p},
+		Points: []spec.Point{
+			{X: 300, Machines: 300}, {X: 600, Machines: 600}, {X: 1200, Machines: 1200},
+		},
+		Runs:     1,
+		BaseSeed: 1,
+	}
+	for _, name := range []string{"srptms+c", "sca", "dolly", "fair", "srpt", "offline"} {
+		ws.Schedulers = append(ws.Schedulers, spec.Scheduler{Name: name})
+	}
+	rs, err := ws.Runner()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := runner.Run(context.Background(), rs, runner.Options{Parallelism: 2}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -4,7 +4,8 @@
 // regression), and fails when any gated benchmark regresses more than the
 // committed tolerance against BENCH_BASELINE.json — or when an in-run
 // speedup ratio (for example naive-loop over event-core, which cancels
-// machine speed entirely) falls below its floor.
+// machine speed entirely) falls below its floor. allocs/op and B/op are
+// bounded too, raw, under the baseline's allocation tolerance.
 //
 // Usage:
 //
@@ -47,12 +48,14 @@ func main() {
 type sample struct {
 	nsPerOp     float64
 	allocsPerOp float64 // -1 when -benchmem was off
+	bytesPerOp  float64 // -1 when -benchmem was off
 }
 
 // entry is one gated benchmark's pinned cost in the baseline file.
 type entry struct {
 	NsPerOp     float64 `json:"nsPerOp"`     // calibration-normalized when Calibration is set
 	AllocsPerOp float64 `json:"allocsPerOp"` // raw allocations per op
+	BytesPerOp  float64 `json:"bytesPerOp"`  // raw bytes allocated per op
 	// Tolerance overrides the file-level ns/op tolerance for this entry
 	// when > 0. Used to hold the production path to a tight bound while
 	// giving the slower reference loops — whose long runs wander more with
@@ -76,7 +79,8 @@ type baseline struct {
 	Calibration string `json:"calibration"`
 	// Tolerance is the allowed fractional ns/op regression (0.20 = +20%).
 	Tolerance float64 `json:"tolerance"`
-	// AllocTolerance is the allowed fractional allocs/op regression.
+	// AllocTolerance is the allowed fractional allocs/op and B/op
+	// regression.
 	AllocTolerance float64          `json:"allocTolerance"`
 	Benchmarks     map[string]entry `json:"benchmarks"`
 	MinRatios      []ratio          `json:"minRatios"`
@@ -195,7 +199,7 @@ func parseRun(r io.Reader) (map[string]sample, error) {
 
 // parseMetrics reads the "value unit" pairs after the iteration count.
 func parseMetrics(rest string) (sample, bool) {
-	s := sample{nsPerOp: -1, allocsPerOp: -1}
+	s := sample{nsPerOp: -1, allocsPerOp: -1, bytesPerOp: -1}
 	fields := strings.Fields(rest)
 	for i := 0; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
@@ -207,6 +211,8 @@ func parseMetrics(rest string) (sample, bool) {
 			s.nsPerOp = v
 		case "allocs/op":
 			s.allocsPerOp = v
+		case "B/op":
+			s.bytesPerOp = v
 		}
 	}
 	return s, s.nsPerOp >= 0
@@ -241,6 +247,7 @@ func emitBaseline(out io.Writer, samples map[string]sample) error {
 		base.Benchmarks[name] = entry{
 			NsPerOp:     round3(s.nsPerOp / cal.nsPerOp),
 			AllocsPerOp: s.allocsPerOp,
+			BytesPerOp:  s.bytesPerOp,
 		}
 	}
 	for _, r := range capturedRatios {
@@ -305,11 +312,17 @@ func gate(out io.Writer, base baseline, samples map[string]sample) error {
 		}
 		fmt.Fprintf(out, "%-32s ns/op %12.0f  normalized %7.3f  baseline %7.3f  %s\n",
 			name, got.nsPerOp, norm, want.NsPerOp, status)
-		if want.AllocsPerOp >= 0 && got.allocsPerOp >= 0 {
-			if got.allocsPerOp > want.AllocsPerOp*(1+base.AllocTolerance) {
+		for _, m := range []struct {
+			unit      string
+			got, want float64
+		}{
+			{"allocs/op", got.allocsPerOp, want.AllocsPerOp},
+			{"B/op", got.bytesPerOp, want.BytesPerOp},
+		} {
+			if m.want >= 0 && m.got >= 0 && m.got > m.want*(1+base.AllocTolerance) {
 				violations = append(violations, fmt.Sprintf(
-					"%s: allocs/op %.0f exceeds baseline %.0f by more than %.0f%%",
-					name, got.allocsPerOp, want.AllocsPerOp, base.AllocTolerance*100))
+					"%s: %s %.0f exceeds baseline %.0f by more than %.0f%%",
+					name, m.unit, m.got, m.want, base.AllocTolerance*100))
 			}
 		}
 	}

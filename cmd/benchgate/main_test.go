@@ -46,8 +46,12 @@ func TestParseRun(t *testing.T) {
 	if _, ok := samples["BenchmarkRunnerMatrix/parallel1"]; !ok {
 		t.Error("sub-benchmark name not preserved")
 	}
-	if mat := samples["BenchmarkRunnerMatrix/parallel1"]; mat.allocsPerOp != -1 {
-		t.Errorf("missing -benchmem must read as allocs -1, got %v", mat.allocsPerOp)
+	if ev.bytesPerOp != 1591104 {
+		t.Errorf("B/op = %v, want 1591104", ev.bytesPerOp)
+	}
+	if mat := samples["BenchmarkRunnerMatrix/parallel1"]; mat.allocsPerOp != -1 || mat.bytesPerOp != -1 {
+		t.Errorf("missing -benchmem must read as allocs and bytes -1, got %v, %v",
+			mat.allocsPerOp, mat.bytesPerOp)
 	}
 }
 
@@ -70,7 +74,7 @@ func testBaseline() baseline {
 		AllocTolerance: 0.25,
 		Benchmarks: map[string]entry{
 			// Normalized: 6.5e6 / 40e6 = 0.1625.
-			"BenchmarkEngineEventCore": {NsPerOp: 0.1625, AllocsPerOp: 2500},
+			"BenchmarkEngineEventCore": {NsPerOp: 0.1625, AllocsPerOp: 2500, BytesPerOp: 1591104},
 		},
 		MinRatios: []ratio{
 			{Slow: "BenchmarkEngineNaiveLoop", Fast: "BenchmarkEngineEventCore", Min: 1.5},
@@ -106,6 +110,18 @@ func TestGateCatchesAllocRegression(t *testing.T) {
 	err := gate(&out, base, parsed(t))
 	if err == nil || !strings.Contains(err.Error(), "allocs/op") {
 		t.Fatalf("want allocs/op regression failure, got %v", err)
+	}
+}
+
+func TestGateCatchesBytesRegression(t *testing.T) {
+	base := testBaseline()
+	e := base.Benchmarks["BenchmarkEngineEventCore"]
+	e.BytesPerOp = 100_000 // run's 1591104 is 16x the baseline
+	base.Benchmarks["BenchmarkEngineEventCore"] = e
+	var out strings.Builder
+	err := gate(&out, base, parsed(t))
+	if err == nil || !strings.Contains(err.Error(), "B/op") {
+		t.Fatalf("want B/op regression failure, got %v", err)
 	}
 }
 

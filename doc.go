@@ -78,13 +78,20 @@
 // task can qualify for a backup and LATE solves for the first slot at which
 // a task can fall below its phase mean. Workload draws are batched per
 // launch and the per-copy bookkeeping is pointer-free pooled memory, so
-// the hot path does not allocate. The event loop and the naive
+// the hot path does not allocate. Each run also materializes its jobs and
+// tasks in slabs of a workspace recycled from earlier runs (the calendar,
+// alive set and scratch come with it), so a runner worker simulating cell
+// after cell hands the garbage collector almost nothing. The price is a
+// lifetime rule: an engine runs once, and the *job.Job and *job.Task
+// values a custom scheduler sees are valid only during that run — it must
+// not keep them for the next one. The event loop and the naive
 // slot-by-slot reference loop produce identical Results bit for bit —
 // pinned for every registered scheduler by the equivalence harness in
 // internal/cluster, and for Mantri and LATE also against full-scan
 // reference implementations kept in test code — and a CI benchmark gate
 // (cmd/benchgate against BENCH_BASELINE.json) holds the engine's cost per
-// cell for SRPTMS+C, Mantri and LATE.
+// cell for SRPTMS+C, Mantri and LATE, and a cold event-sweep matrix
+// through the runner, in time, allocations and bytes.
 //
 // # Quick start
 //

@@ -33,6 +33,12 @@ func (c *Context) FreeMachines() int { return c.engine.free }
 // callers may reorder or filter it in place but must not retain it past the
 // Schedule invocation; the *job.Job values are shared with the engine and
 // must not be mutated except through Launch.
+//
+// A *job.Job and its *job.Task values are valid only during the run that
+// handed them out: a scheduler may keep them across Schedule calls of one
+// run, but when Run returns their memory is recycled into later runs, so a
+// scheduler serving successive runs must drop them (in StartRun at the
+// latest) and never dereference them again.
 func (c *Context) AliveJobs() []*job.Job {
 	e := c.engine
 	out := e.aliveScratch[:0]
@@ -52,7 +58,9 @@ func (c *Context) AliveJobs() []*job.Job {
 // task before the job's map phase has completed requires gated=true: the
 // copies occupy machines immediately but begin progress only when the map
 // phase finishes (the paper's constraint 1g). It returns the number of
-// copies actually launched.
+// copies actually launched. j and t must come from this run (see
+// AliveJobs); a refused launch — no free machine, a closed gate, a finished
+// task — launches nothing and draws nothing from the workload stream.
 func (c *Context) Launch(j *job.Job, t *job.Task, n int, gated bool) (int, error) {
 	return c.engine.launch(j, t, n, gated)
 }

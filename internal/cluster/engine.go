@@ -35,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"mrclone/internal/job"
 	"mrclone/internal/rng"
@@ -216,7 +215,9 @@ type Result struct {
 	WastedCopyWrk float64 // workload of killed copies (cloning overhead)
 }
 
-// Engine runs one simulation.
+// Engine runs one simulation. It works in memory recycled from earlier
+// runs and recycles it in turn, so an Engine is good for one Run call (see
+// Run); build a new one per simulation.
 type Engine struct {
 	cfg           Config
 	sched         Scheduler
@@ -229,20 +230,13 @@ type Engine struct {
 	seq     int64
 	arrived int
 
-	pending     []job.Spec // sorted by arrival; consumed via nextPending
-	nextPending int        // cursor into pending: first spec not yet admitted
-	jobs        []*job.Job // all materialized jobs, arrival order
-
-	// alive holds arrived-and-unfinished jobs in arrival order. Retired jobs
-	// leave nil holes (O(1) removal via alivePos); the slice is compacted
-	// once holes outnumber live entries, so per-retire cost is amortized
-	// O(1) while iteration order stays arrival order.
-	alive      []*job.Job
-	alivePos   map[*job.Job]int // index of each live job within alive
-	aliveCount int
-
-	cal       calendar
-	gatedJobs map[*job.Job][]gatedRef // gated reduce copies per job
+	// workspace holds the run's recycled memory: sorted specs, job and task
+	// slabs, alive set, calendar and scratch. Run releases it for reuse and
+	// clears this field.
+	*workspace
+	nextPending int // cursor into pending: first spec not yet admitted
+	nextTask    int // first task record of the slab not yet materialized
+	aliveCount  int
 
 	// Launchable-work counters: unscheduled tasks across alive jobs, split
 	// by what the gate allows. The event loop skips scheduler invocations
@@ -266,14 +260,6 @@ type Engine struct {
 	ctx Context // reused scheduler view (avoids a per-slot allocation)
 	err error   // first fatal error raised inside a scheduler callback
 
-	// Scratch and pooling for the hot paths: the AliveJobs backing array,
-	// the batched workload-sample buffer, and a freelist of task-run records
-	// (each carrying its grown copies backing) to keep the per-launch path
-	// allocation-free in steady state.
-	aliveScratch []*job.Job
-	sampleBuf    []float64
-	runFree      []*taskRun
-
 	busy         int64
 	totalCopies  int64
 	cloneCopies  int64
@@ -283,7 +269,10 @@ type Engine struct {
 }
 
 // New prepares an engine over the given job specs. Specs are copied and
-// sorted by arrival time; they must each validate.
+// sorted by arrival time; they must each validate. The engine takes its
+// working memory from a free list shared by all engines and releases it
+// when Run finishes; an engine that is never run leaves its memory to the
+// garbage collector.
 func New(cfg Config, sched Scheduler, specs []job.Spec) (*Engine, error) {
 	if cfg.Machines <= 0 {
 		return nil, ErrNoMachines
@@ -308,11 +297,6 @@ func New(cfg Config, sched Scheduler, specs []job.Spec) (*Engine, error) {
 			return nil, err
 		}
 	}
-	pending := make([]job.Spec, len(specs))
-	copy(pending, specs)
-	sort.SliceStable(pending, func(i, j int) bool {
-		return pending[i].Arrival < pending[j].Arrival
-	})
 	root := rng.New(cfg.Seed)
 	ed, _ := sched.(EventDriven)
 	sp, _ := sched.(Speculator)
@@ -324,9 +308,7 @@ func New(cfg Config, sched Scheduler, specs []job.Spec) (*Engine, error) {
 		gatedLaunches: gl != nil && gl.LaunchesGatedCopies(),
 		wake:          noWake,
 		free:          cfg.Machines,
-		pending:       pending,
-		alivePos:      make(map[*job.Job]int),
-		gatedJobs:     make(map[*job.Job][]gatedRef),
+		workspace:     acquireWorkspace(specs),
 		durations:     root.Split("durations"),
 		schedRand:     root.Split("scheduler"),
 	}
@@ -342,15 +324,35 @@ const noWake = math.MaxInt64
 // execution loop is selected by Config.Loop (see the package comment); both
 // loops produce the identical Result for a given scheduler, seed, and spec
 // set.
+//
+// Run may be called once: when it returns, on success or error, the
+// engine's job, task and calendar memory goes back to a free list that
+// later engines draw from, and every *job.Job and *job.Task the run handed out
+// becomes invalid. A second call returns an error. The returned Result
+// holds only values and stays valid.
 func (e *Engine) Run() (*Result, error) {
+	if e.workspace == nil {
+		return nil, errRunTwice
+	}
 	if rs, ok := e.sched.(RunStarter); ok {
 		rs.StartRun()
 	}
+	var res *Result
+	var err error
 	if e.cfg.Loop == LoopNaive {
-		return e.runNaive()
+		res, err = e.runNaive()
+	} else {
+		res, err = e.runEvents()
 	}
-	return e.runEvents()
+	// Not deferred: a run a scheduler panicked out of may have left the
+	// workspace half-updated, so it is dropped rather than reused.
+	e.workspace.release(e.arrived, e.nextTask)
+	e.workspace = nil
+	return res, err
 }
+
+// errRunTwice reports a second Run call on one engine.
+var errRunTwice = errors.New("cluster: Run called twice on one engine")
 
 // runEvents is the discrete-event loop: the calendar of copy completions,
 // the arrival cursor and the scheduler's wake-up define the only slots at
@@ -475,12 +477,13 @@ func (e *Engine) admitArrivals() bool {
 	for e.nextPending < len(e.pending) && e.pending[e.nextPending].Arrival <= e.slot {
 		spec := e.pending[e.nextPending]
 		e.nextPending++
-		j, err := job.New(spec)
-		if err != nil {
+		j := &e.jobs[e.arrived]
+		lo, hi := e.nextTask, e.nextTask+spec.TotalTasks()
+		if err := job.Init(j, spec, e.tasks[lo:hi:hi], e.ptrs[3*lo:3*hi:3*hi]); err != nil {
 			// Specs were validated in New; this is unreachable in practice.
 			panic(fmt.Sprintf("cluster: invalid spec slipped through: %v", err))
 		}
-		e.jobs = append(e.jobs, j)
+		e.nextTask = hi
 		e.alivePos[j] = len(e.alive)
 		e.alive = append(e.alive, j)
 		e.aliveCount++
@@ -634,10 +637,11 @@ func (e *Engine) durationSlots(workload float64) int64 {
 // the owner's map phase completes must set gated; they occupy machines
 // immediately but progress only after the gate opens (constraint 1g).
 //
-// The n workloads are drawn in one batched call per launch — bit-identical
-// to n successive Sample calls on the same stream — and validated before
-// any engine state changes; a non-finite sample fails the run with
-// ErrNonFiniteWorkload.
+// A launch refused for a full cluster, a closed gate or a finished task
+// draws nothing. Otherwise the n workloads are drawn in one batched call —
+// bit-identical to n successive Sample calls on the same stream — and
+// validated before any engine state changes; a non-finite sample fails the
+// run with ErrNonFiniteWorkload.
 func (e *Engine) launch(j *job.Job, t *job.Task, n int, gated bool) (int, error) {
 	if n <= 0 {
 		return 0, nil
@@ -647,6 +651,10 @@ func (e *Engine) launch(j *job.Job, t *job.Task, n int, gated bool) (int, error)
 	}
 	if t.ID.Phase == job.PhaseReduce && !j.MapPhaseDone() && !gated {
 		return 0, ErrGateViolated
+	}
+	if t.State == job.TaskDone {
+		// Refused before sampling, so the rejected call draws nothing.
+		return 0, fmt.Errorf("cluster: launching copy of finished task %v", t.ID)
 	}
 	if t.ID.Phase == job.PhaseMap {
 		gated = false // map tasks are never gated
@@ -723,30 +731,6 @@ func (e *Engine) fail(err error) error {
 	return err
 }
 
-// newRun returns a recycled or fresh task-run record. Fresh records start
-// with room for a handful of copies so the common clone counts never grow
-// the slice (recycled records keep their grown backing).
-func (e *Engine) newRun() *taskRun {
-	if k := len(e.runFree) - 1; k >= 0 {
-		tr := e.runFree[k]
-		e.runFree[k] = nil
-		e.runFree = e.runFree[:k]
-		return tr
-	}
-	return &taskRun{pos: -1, best: -1, copies: make([]copyRecord, 0, 8)}
-}
-
-// releaseRun recycles a completed task's run record, keeping its grown
-// copies backing (the elements are pointer-free, so truncating retains
-// nothing the collector cares about).
-func (e *Engine) releaseRun(tr *taskRun) {
-	tr.copies = tr.copies[:0]
-	tr.task, tr.owner = nil, nil
-	tr.best = -1
-	tr.pos = -1
-	e.runFree = append(e.runFree, tr)
-}
-
 // taskDist returns the ground-truth duration distribution for t.
 func (e *Engine) taskDist(j *job.Job, t *job.Task) distSampler {
 	if t.ID.Phase == job.PhaseMap {
@@ -784,7 +768,7 @@ func (e *Engine) result() *Result {
 		Machines:      e.cfg.Machines,
 		Speed:         e.cfg.Speed,
 		Slots:         e.lastFinish,
-		Jobs:          make([]JobRecord, 0, len(e.jobs)),
+		Jobs:          make([]JobRecord, 0, e.arrived),
 		TotalCopies:   e.totalCopies,
 		CloneCopies:   e.cloneCopies,
 		MachineSlots:  e.busy,
@@ -792,7 +776,8 @@ func (e *Engine) result() *Result {
 		FinishedJobs:  e.finishedJobs,
 		WastedCopyWrk: e.wastedWrk,
 	}
-	for _, j := range e.jobs {
+	for i := range e.jobs[:e.arrived] {
+		j := &e.jobs[i]
 		var copies int
 		for _, t := range j.Tasks {
 			copies += t.TotalCopies

@@ -23,7 +23,7 @@ func (g greedyScheduler) Name() string { return "greedy-test" }
 
 func (g greedyScheduler) Schedule(ctx *Context) {
 	for _, j := range ctx.AliveJobs() {
-		for _, t := range j.UnscheduledTasks(job.PhaseMap) {
+		for _, t := range j.AppendUnscheduled(nil, job.PhaseMap) {
 			if ctx.FreeMachines() == 0 {
 				return
 			}
@@ -31,7 +31,7 @@ func (g greedyScheduler) Schedule(ctx *Context) {
 				panic(err)
 			}
 		}
-		for _, t := range j.UnscheduledTasks(job.PhaseReduce) {
+		for _, t := range j.AppendUnscheduled(nil, job.PhaseReduce) {
 			if ctx.FreeMachines() == 0 {
 				return
 			}
@@ -55,7 +55,7 @@ func (c cloneScheduler) Name() string { return "clone-test" }
 
 func (c cloneScheduler) Schedule(ctx *Context) {
 	for _, j := range ctx.AliveJobs() {
-		for _, t := range j.UnscheduledTasks(job.PhaseMap) {
+		for _, t := range j.AppendUnscheduled(nil, job.PhaseMap) {
 			n := c.clones
 			if n > ctx.FreeMachines() {
 				n = ctx.FreeMachines()
@@ -70,7 +70,7 @@ func (c cloneScheduler) Schedule(ctx *Context) {
 		if !j.MapPhaseDone() {
 			continue
 		}
-		for _, t := range j.UnscheduledTasks(job.PhaseReduce) {
+		for _, t := range j.AppendUnscheduled(nil, job.PhaseReduce) {
 			n := c.clones
 			if n > ctx.FreeMachines() {
 				n = ctx.FreeMachines()
@@ -168,19 +168,19 @@ func TestUngatedEarlyReduceLaunchFails(t *testing.T) {
 	specs := []job.Spec{simpleSpec(t, 0, 0, 1, 1, 10, 5)}
 	eng, err := New(Config{Machines: 4, Seed: 1}, schedulerFunc(func(ctx *Context) {
 		j := ctx.AliveJobs()[0]
-		rt := j.UnscheduledTasks(job.PhaseReduce)
+		rt := j.AppendUnscheduled(nil, job.PhaseReduce)
 		if len(rt) > 0 && !j.MapPhaseDone() {
 			if _, err := ctx.Launch(j, rt[0], 1, false); !errors.Is(err, ErrGateViolated) {
 				t.Errorf("want ErrGateViolated, got %v", err)
 			}
 		}
-		for _, mt := range j.UnscheduledTasks(job.PhaseMap) {
+		for _, mt := range j.AppendUnscheduled(nil, job.PhaseMap) {
 			if _, err := ctx.Launch(j, mt, 1, false); err != nil {
 				t.Error(err)
 			}
 		}
 		if j.MapPhaseDone() {
-			for _, rt := range j.UnscheduledTasks(job.PhaseReduce) {
+			for _, rt := range j.AppendUnscheduled(nil, job.PhaseReduce) {
 				if _, err := ctx.Launch(j, rt, 1, false); err != nil {
 					t.Error(err)
 				}
@@ -226,7 +226,7 @@ func TestLaunchOverCapacityErrors(t *testing.T) {
 	specs := []job.Spec{simpleSpec(t, 0, 0, 1, 0, 5, 0)}
 	eng, err := New(Config{Machines: 2, Seed: 1}, schedulerFunc(func(ctx *Context) {
 		j := ctx.AliveJobs()[0]
-		ts := j.UnscheduledTasks(job.PhaseMap)
+		ts := j.AppendUnscheduled(nil, job.PhaseMap)
 		if len(ts) == 0 {
 			return
 		}
@@ -361,12 +361,12 @@ func TestProgressReports(t *testing.T) {
 	var sawProgress bool
 	eng, err := New(Config{Machines: 2, Seed: 1}, schedulerFunc(func(ctx *Context) {
 		j := ctx.AliveJobs()[0]
-		for _, mt := range j.UnscheduledTasks(job.PhaseMap) {
+		for _, mt := range j.AppendUnscheduled(nil, job.PhaseMap) {
 			if _, err := ctx.Launch(j, mt, 1, false); err != nil {
 				t.Error(err)
 			}
 		}
-		for _, mt := range j.RunningTasks(job.PhaseMap) {
+		for _, mt := range j.AppendRunning(nil, job.PhaseMap) {
 			ps := ctx.AppendProgress(nil, mt)
 			if len(ps) != 1 {
 				t.Errorf("progress count = %d, want 1", len(ps))
@@ -469,7 +469,7 @@ func TestNonFiniteWorkloadFailsRun(t *testing.T) {
 	// from Run even when the scheduler ignores it).
 	swallowing := schedulerFunc(func(ctx *Context) {
 		for _, j := range ctx.AliveJobs() {
-			for _, mt := range j.UnscheduledTasks(job.PhaseMap) {
+			for _, mt := range j.AppendUnscheduled(nil, job.PhaseMap) {
 				if ctx.FreeMachines() == 0 {
 					return
 				}
@@ -504,7 +504,7 @@ func (gatedOnlyScheduler) EventDriven() bool         { return true }
 func (gatedOnlyScheduler) LaunchesGatedCopies() bool { return true }
 func (gatedOnlyScheduler) Schedule(ctx *Context) {
 	for _, j := range ctx.AliveJobs() {
-		for _, t := range j.UnscheduledTasks(job.PhaseReduce) {
+		for _, t := range j.AppendUnscheduled(nil, job.PhaseReduce) {
 			if ctx.FreeMachines() == 0 {
 				return
 			}
@@ -563,7 +563,7 @@ func (wakeScheduler) EventDriven() bool { return true }
 func (w wakeScheduler) Schedule(ctx *Context) {
 	*w.calls = append(*w.calls, ctx.Now())
 	for _, j := range ctx.AliveJobs() {
-		for _, t := range j.UnscheduledTasks(job.PhaseMap) {
+		for _, t := range j.AppendUnscheduled(nil, job.PhaseMap) {
 			if ctx.FreeMachines() > 0 {
 				if _, err := ctx.Launch(j, t, 1, false); err != nil {
 					panic(err)
@@ -612,5 +612,73 @@ func TestWakeAtInvocations(t *testing.T) {
 		if !reflect.DeepEqual(calls, tc.want) {
 			t.Errorf("%s: invoked on %v, want %v", tc.name, calls, tc.want)
 		}
+	}
+}
+
+// finishedTaskLauncher wraps cloneScheduler. With bad set, it first tries
+// once to launch a copy of a finished task — a call the engine refuses —
+// and swallows the error.
+type finishedTaskLauncher struct {
+	cloneScheduler
+	bad   bool
+	tried *bool
+}
+
+func (f finishedTaskLauncher) Schedule(ctx *Context) {
+	if f.bad && !*f.tried {
+		for _, j := range ctx.AliveJobs() {
+			for _, t := range j.Tasks {
+				if t.State != job.TaskDone || *f.tried {
+					continue
+				}
+				*f.tried = true
+				if n, err := ctx.Launch(j, t, 1, false); err == nil || n != 0 {
+					panic("launch of a finished task was not refused")
+				}
+			}
+		}
+	}
+	f.cloneScheduler.Schedule(ctx)
+}
+
+// TestRefusedLaunchDrawsNothing pins that a refused launch leaves the
+// workload stream alone: a run with one swallowed launch of a finished task
+// must produce the same Result as the same run without it.
+func TestRefusedLaunchDrawsNothing(t *testing.T) {
+	p, err := dist.NewPareto(5, 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []job.Spec{
+		{ID: 0, Weight: 1, MapTasks: 4, MapDist: p, ReduceTask: 2, ReduceDist: p},
+		{ID: 1, Arrival: 40, Weight: 2, MapTasks: 3, MapDist: p, ReduceTask: 1, ReduceDist: p},
+	}
+	for _, loop := range []LoopMode{LoopNaive, LoopAuto} {
+		cfg := Config{Machines: 10, Seed: 5, Loop: loop}
+		var tried bool
+		want := mustRun(t, cfg, finishedTaskLauncher{cloneScheduler: cloneScheduler{clones: 2}, tried: &tried}, specs)
+		got := mustRun(t, cfg, finishedTaskLauncher{cloneScheduler: cloneScheduler{clones: 2}, bad: true, tried: &tried}, specs)
+		if !tried {
+			t.Fatalf("loop %v: never saw a finished task to launch", loop)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("loop %v: refused launch changed the run:\ngot  %+v\nwant %+v", loop, got, want)
+		}
+	}
+}
+
+// TestRunTwice pins the one-Run lifetime: the engine's memory is recycled
+// when Run returns, so a second call must fail instead of reading it.
+func TestRunTwice(t *testing.T) {
+	eng, err := New(Config{Machines: 1, Seed: 1}, greedyScheduler{},
+		[]job.Spec{simpleSpec(t, 0, 0, 1, 0, 10, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(); !errors.Is(err, errRunTwice) {
+		t.Fatalf("second Run: want errRunTwice, got %v", err)
 	}
 }

@@ -51,7 +51,7 @@ func launchFIFO(ctx *cluster.Context, alive []*job.Job) bool {
 		if ctx.FreeMachines() == 0 {
 			return false
 		}
-		for _, t := range j.UnscheduledTasks(job.PhaseMap) {
+		for _, t := range j.AppendUnscheduled(nil, job.PhaseMap) {
 			if ctx.FreeMachines() == 0 {
 				return false
 			}
@@ -62,7 +62,7 @@ func launchFIFO(ctx *cluster.Context, alive []*job.Job) bool {
 		if !j.MapPhaseDone() {
 			continue
 		}
-		for _, t := range j.UnscheduledTasks(job.PhaseReduce) {
+		for _, t := range j.AppendUnscheduled(nil, job.PhaseReduce) {
 			if ctx.FreeMachines() == 0 {
 				return false
 			}
@@ -91,7 +91,7 @@ func (r refMantri) Schedule(ctx *cluster.Context) {
 	for _, j := range alive {
 		for _, p := range []job.Phase{job.PhaseMap, job.PhaseReduce} {
 			stats := j.PhaseStats(p)
-			for _, t := range j.RunningTasks(p) {
+			for _, t := range j.AppendRunning(nil, p) {
 				if t.Copies >= 1+r.cfg.MaxBackupsPerTask {
 					continue
 				}
@@ -182,7 +182,7 @@ func (r refLATE) Schedule(ctx *cluster.Context) {
 	var specCopies int
 	for _, j := range alive {
 		for _, p := range []job.Phase{job.PhaseMap, job.PhaseReduce} {
-			running := j.RunningTasks(p)
+			running := j.AppendRunning(nil, p)
 			var sum float64
 			type obs struct {
 				t    *job.Task

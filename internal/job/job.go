@@ -188,22 +188,43 @@ type Job struct {
 	FinishSlot    int64 // -1 until the job completes
 }
 
-// New materializes the runtime state for a spec. Task records and the
-// per-phase bookkeeping lists come from per-job slab allocations — the
-// engine materializes every job of a trace, so the constructor is on the
-// simulation hot path.
+// New materializes the runtime state for a spec in freshly allocated memory:
+// one slab of task records and one of task pointers (see Init).
 func New(spec Spec) (*Job, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	total := spec.TotalTasks()
+	j := new(Job)
+	if err := Init(j, spec, make([]Task, total), make([]*Task, 3*total)); err != nil {
+		return nil, err
+	}
+	return j, nil
+}
+
+// Init materializes the runtime state for a spec in place, over
+// caller-owned memory: slab holds the spec's TotalTasks() task records and
+// ptrs its 3*TotalTasks() task pointers (the Tasks list and the per-phase
+// pending and running lists). Every field of *j and every record in slab is
+// overwritten, so recycled memory needs no clearing first. The job refers
+// into slab and ptrs until the caller reuses them.
+//
+// The simulation engine materializes every job of a trace inside slabs it
+// recycles across runs, so this constructor is on the simulation hot path.
+func Init(j *Job, spec Spec, slab []Task, ptrs []*Task) error {
+	if err := spec.Validate(); err != nil {
+		return err
+	}
+	total := spec.TotalTasks()
+	if len(slab) != total || len(ptrs) != 3*total {
+		return fmt.Errorf("job %d: Init needs %d task records and %d pointers, got %d and %d",
+			spec.ID, total, 3*total, len(slab), len(ptrs))
+	}
 	m := spec.MapTasks
-	j := &Job{
+	*j = Job{
 		Spec:       spec,
 		FinishSlot: -1,
 	}
-	slab := make([]Task, total)
-	ptrs := make([]*Task, 3*total)
 	j.Tasks = ptrs[:total:total]
 	pend := ptrs[total : 2*total : 2*total]
 	runb := ptrs[2*total:]
@@ -232,7 +253,7 @@ func New(spec Spec) (*Job, error) {
 	// them once — schedulers evaluate priorities every slot.
 	j.stats[phaseIdx(PhaseMap)] = spec.PhaseStats(PhaseMap)
 	j.stats[phaseIdx(PhaseReduce)] = spec.PhaseStats(PhaseReduce)
-	return j, nil
+	return nil
 }
 
 // PhaseStats returns the cached scheduler-visible workload statistics.
@@ -399,46 +420,18 @@ func (j *Job) MarkDone(t *Task, slot int64) {
 	}
 }
 
-// UnscheduledTasks returns the tasks of phase p still in the unscheduled
-// pool. The slice is freshly allocated (nil when empty); element order is an
-// implementation detail — callers needing randomness shuffle explicitly.
-// Schedulers on the simulation hot path should prefer AppendUnscheduled
-// with a reused scratch buffer.
-func (j *Job) UnscheduledTasks(p Phase) []*Task {
-	list := j.pending[phaseIdx(p)]
-	if len(list) == 0 {
-		return nil
-	}
-	out := make([]*Task, len(list))
-	copy(out, list)
-	return out
-}
-
 // AppendUnscheduled appends the tasks of phase p still in the unscheduled
-// pool to dst and returns the extended slice: the allocation-free variant of
-// UnscheduledTasks for scheduler scratch buffers. The appended snapshot
-// remains valid while tasks launch, in the same order UnscheduledTasks
-// would have returned.
+// pool to dst and returns the extended slice. Element order is an
+// implementation detail — callers needing randomness shuffle explicitly.
+// The appended snapshot stays valid while tasks launch; pass a reused
+// scratch buffer on hot paths, or nil for a fresh slice.
 func (j *Job) AppendUnscheduled(dst []*Task, p Phase) []*Task {
 	return append(dst, j.pending[phaseIdx(p)]...)
 }
 
-// RunningTasks returns the tasks of phase p with at least one live copy.
-// The slice is freshly allocated (nil when empty). Hot paths should prefer
-// AppendRunning with a reused scratch buffer.
-func (j *Job) RunningTasks(p Phase) []*Task {
-	list := j.running[phaseIdx(p)]
-	if len(list) == 0 {
-		return nil
-	}
-	out := make([]*Task, len(list))
-	copy(out, list)
-	return out
-}
-
 // AppendRunning appends the tasks of phase p with at least one live copy to
-// dst and returns the extended slice: the allocation-free variant of
-// RunningTasks for scheduler scratch buffers.
+// dst and returns the extended slice; pass a reused scratch buffer on hot
+// paths, or nil for a fresh slice.
 func (j *Job) AppendRunning(dst []*Task, p Phase) []*Task {
 	return append(dst, j.running[phaseIdx(p)]...)
 }

@@ -3,6 +3,7 @@ package job
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -242,14 +243,14 @@ func TestUnscheduledAndRunningTaskLists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(j.UnscheduledTasks(PhaseMap)); got != 3 {
+	if got := len(j.AppendUnscheduled(nil, PhaseMap)); got != 3 {
 		t.Fatalf("unscheduled map list = %d", got)
 	}
 	mt := j.Task(TaskID{Job: 1, Phase: PhaseMap, Index: 1})
 	if err := j.MarkLaunched(mt, 0); err != nil {
 		t.Fatal(err)
 	}
-	um := j.UnscheduledTasks(PhaseMap)
+	um := j.AppendUnscheduled(nil, PhaseMap)
 	if len(um) != 2 {
 		t.Fatalf("unscheduled map after launch = %d", len(um))
 	}
@@ -258,11 +259,11 @@ func TestUnscheduledAndRunningTaskLists(t *testing.T) {
 			t.Error("launched task still listed unscheduled")
 		}
 	}
-	rm := j.RunningTasks(PhaseMap)
+	rm := j.AppendRunning(nil, PhaseMap)
 	if len(rm) != 1 || rm[0].ID.Index != 1 {
 		t.Fatalf("running map list = %v", rm)
 	}
-	if got := len(j.RunningTasks(PhaseReduce)); got != 0 {
+	if got := len(j.AppendRunning(nil, PhaseReduce)); got != 0 {
 		t.Fatalf("running reduce = %d", got)
 	}
 }
@@ -373,5 +374,44 @@ func TestPhaseString(t *testing.T) {
 		if s.String() != want {
 			t.Errorf("TaskState(%d).String() = %q, want %q", int(s), s.String(), want)
 		}
+	}
+}
+
+// TestInitOverRecycledMemory pins Init's contract: it overwrites every
+// field, so a job built in memory a finished job used equals one built in
+// fresh memory, and it rejects slabs of the wrong size.
+func TestInitOverRecycledMemory(t *testing.T) {
+	first := validSpec(t)
+	second := validSpec(t)
+	second.ID, second.MapTasks, second.ReduceTask = 7, 2, 3
+	slab := make([]Task, first.TotalTasks())
+	ptrs := make([]*Task, 3*first.TotalTasks())
+	var j Job
+	if err := Init(&j, first, slab, ptrs); err != nil {
+		t.Fatal(err)
+	}
+	for _, task := range j.Tasks {
+		if task.ID.Phase == PhaseReduce {
+			break
+		}
+		if err := j.MarkLaunched(task, 1); err != nil {
+			t.Fatal(err)
+		}
+		j.MarkCopyStopped(task)
+		j.MarkDone(task, 5)
+	}
+	j.Tasks[3].Runtime = "engine state"
+	if err := Init(&j, second, slab, ptrs); err != nil {
+		t.Fatal(err)
+	}
+	want, err := New(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&j, want) {
+		t.Errorf("Init over recycled memory:\ngot  %+v\nwant %+v", j, *want)
+	}
+	if err := Init(&j, second, slab[:4], ptrs); err == nil {
+		t.Error("Init accepted a task slab of the wrong size")
 	}
 }

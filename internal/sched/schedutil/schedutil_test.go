@@ -61,7 +61,7 @@ func TestByOfflinePriorityDesc(t *testing.T) {
 
 func TestPickRandom(t *testing.T) {
 	j := mkJob(t, 0, 1, 10, 5)
-	tasks := j.UnscheduledTasks(job.PhaseMap)
+	tasks := j.AppendUnscheduled(nil, job.PhaseMap)
 	src := rng.New(1)
 
 	got := PickRandom(tasks, 4, src)
@@ -85,7 +85,7 @@ func TestPickRandom(t *testing.T) {
 		t.Fatalf("k<0 returned %v", got)
 	}
 	// Input slice must be unmodified (same pointers in same order).
-	again := j.UnscheduledTasks(job.PhaseMap)
+	again := j.AppendUnscheduled(nil, job.PhaseMap)
 	for i := range tasks {
 		if tasks[i] != again[i] {
 			t.Fatal("PickRandom mutated its input")

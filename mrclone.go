@@ -198,6 +198,9 @@ func WithScheduler(name string) Option {
 }
 
 // WithCustomScheduler installs a caller-provided Scheduler implementation.
+// The *Job and *Task values it is handed are valid only during the run
+// that handed them out: their memory is recycled into later runs, so a
+// scheduler serving several runs must not keep them from one to the next.
 func WithCustomScheduler(sc Scheduler) Option {
 	return func(s *Simulation) error {
 		if sc == nil {

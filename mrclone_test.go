@@ -109,7 +109,7 @@ func (greedy) Name() string { return "greedy-custom" }
 
 func (greedy) Schedule(ctx *SchedulerContext) {
 	for _, j := range ctx.AliveJobs() {
-		for _, task := range j.UnscheduledTasks(PhaseMap) {
+		for _, task := range j.AppendUnscheduled(nil, PhaseMap) {
 			if ctx.FreeMachines() == 0 {
 				return
 			}
@@ -120,7 +120,7 @@ func (greedy) Schedule(ctx *SchedulerContext) {
 		if !j.MapPhaseDone() {
 			continue
 		}
-		for _, task := range j.UnscheduledTasks(PhaseReduce) {
+		for _, task := range j.AppendUnscheduled(nil, PhaseReduce) {
 			if ctx.FreeMachines() == 0 {
 				return
 			}
