@@ -208,8 +208,12 @@ func benchEngineRun(b *testing.B, name string, loop cluster.LoopMode) {
 }
 
 // BenchmarkEngineEventCore is the production configuration for SRPTMS+C:
-// the discrete-event loop over the priority-heap calendar.
+// the discrete-event loop over the calendar of copy completions.
 func BenchmarkEngineEventCore(b *testing.B) { benchEngineRun(b, "srptms+c", cluster.LoopAuto) }
+
+// BenchmarkEngineSCA is the SCA baseline on the event loop: its
+// water-filling gain heap runs on every invocation.
+func BenchmarkEngineSCA(b *testing.B) { benchEngineRun(b, "sca", cluster.LoopAuto) }
 
 // BenchmarkEngineNaiveLoop is SRPTMS+C on the naive slot-by-slot reference
 // loop, kept as the baseline the event core is measured against in-run
@@ -329,7 +333,7 @@ func BenchmarkRunnerSweep(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations (DESIGN.md §5 design choices)
+// Ablations: the clone cap, the sharing fraction and the scheduler choice
 // ---------------------------------------------------------------------------
 
 // benchScheduler measures one simulation of the bench workload under a

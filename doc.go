@@ -68,20 +68,26 @@
 // # The engine
 //
 // The cluster simulator is a discrete-event engine with slot-exact
-// semantics. Time advances through a priority-heap calendar of job
-// arrivals and earliest copy completions, so empty slots are never
-// visited. The paper's event-driven schedulers (SRPTMS+C, SCA, Fair, SRPT,
-// offline, Dolly) are invoked only when launchable work exists. The
-// straggler-detection baselines (Mantri, LATE) are also invoked on every
-// arrival and completion and on wake-up timers they arm: progress is
-// linear in the simulator, so Mantri knows the next check tick at which a
-// task can qualify for a backup and LATE solves for the first slot at which
-// a task can fall below its phase mean. Workload draws are batched per
-// launch and the per-copy bookkeeping is pointer-free pooled memory, so
-// the hot path does not allocate. Each run also materializes its jobs and
-// tasks in slabs of a workspace recycled from earlier runs (the calendar,
-// alive set and scratch come with it), so a runner worker simulating cell
-// after cell hands the garbage collector almost nothing. The price is a
+// semantics. Time advances from one event to the next, job arrivals
+// (a cursor over the arrival-sorted specs) and earliest copy completions,
+// so empty slots are never visited. Completions wait in a calendar that is
+// a timing wheel of one-slot buckets spanning the next 8,192 slots, with a
+// binary heap for the few tasks finishing later; within a slot, tasks
+// complete in launch-sequence order. The paper's event-driven schedulers
+// (SRPTMS+C, SCA, Fair, SRPT, offline, Dolly) are invoked only when
+// launchable work exists. The straggler-detection baselines (Mantri, LATE)
+// are also invoked on every arrival and completion and on wake-up timers
+// they arm: progress is linear in the simulator, so Mantri knows the next
+// check tick at which a task can qualify for a backup and LATE solves for
+// the first slot at which a task can fall below its phase mean. Workload
+// draws are batched per launch, and a bounded-Pareto sampler built by its
+// constructor holds its exponent split and moments precomputed
+// (bit-identical to math.Pow and the closed forms); the per-copy
+// bookkeeping is pointer-free pooled memory, so the hot path does not
+// allocate. Each run also materializes its jobs and tasks in slabs of a
+// workspace recycled from earlier runs (the calendar, alive set and
+// scratch come with it), so a runner worker simulating cell after cell
+// hands the garbage collector almost nothing. The price is a
 // lifetime rule: an engine runs once, and the *job.Job and *job.Task
 // values a custom scheduler sees are valid only during that run — it must
 // not keep them for the next one. The event loop and the naive
@@ -90,7 +96,7 @@
 // internal/cluster, and for Mantri and LATE also against full-scan
 // reference implementations kept in test code — and a CI benchmark gate
 // (cmd/benchgate against BENCH_BASELINE.json) holds the engine's cost per
-// cell for SRPTMS+C, Mantri and LATE, and a cold event-sweep matrix
+// cell for SRPTMS+C, SCA, Mantri and LATE, and a cold event-sweep matrix
 // through the runner, in time, allocations and bytes.
 //
 // # Quick start
@@ -110,6 +116,6 @@
 //	// handle err
 //	fmt.Printf("weighted avg flowtime: %.1f s\n", summary.WeightedFlowtime)
 //
-// See the examples/ directory for runnable programs and EXPERIMENTS.md for
-// paper-versus-measured results.
+// See the examples/ directory for runnable programs and cmd/mrexperiments
+// for the paper's tables and figures.
 package mrclone

@@ -10,8 +10,9 @@
 //
 // # Execution loops
 //
-// Production runs use one loop, the event loop, over a priority-heap
-// calendar of copy completions plus an arrival cursor. It advances directly
+// Production runs use one loop, the event loop, over a calendar of copy
+// completions (a timing wheel with a heap for far completions; see
+// calendar) plus an arrival cursor. It advances directly
 // from one slot that matters to the next and accounts the slots in between
 // in bulk, so quiet stretches cost O(1) regardless of length. Which slots
 // matter depends on the scheduler:
@@ -334,21 +335,28 @@ func (e *Engine) Run() (*Result, error) {
 	if e.workspace == nil {
 		return nil, errRunTwice
 	}
+	res, err := e.run()
+	e.release()
+	return res, err
+}
+
+// run executes the configured loop.
+func (e *Engine) run() (*Result, error) {
 	if rs, ok := e.sched.(RunStarter); ok {
 		rs.StartRun()
 	}
-	var res *Result
-	var err error
 	if e.cfg.Loop == LoopNaive {
-		res, err = e.runNaive()
-	} else {
-		res, err = e.runEvents()
+		return e.runNaive()
 	}
-	// Not deferred: a run a scheduler panicked out of may have left the
-	// workspace half-updated, so it is dropped rather than reused.
+	return e.runEvents()
+}
+
+// release hands the engine's workspace back to the free list. It is not
+// deferred in Run: a run a scheduler panicked out of may have left the
+// workspace half-updated, so it is dropped rather than reused.
+func (e *Engine) release() {
 	e.workspace.release(e.arrived, e.nextTask)
 	e.workspace = nil
-	return res, err
 }
 
 // errRunTwice reports a second Run call on one engine.
@@ -366,6 +374,7 @@ func (e *Engine) runEvents() (*Result, error) {
 			return nil, fmt.Errorf("%w: slot %d, %d/%d jobs finished",
 				ErrSlotOverflow, e.slot, e.finishedJobs, total)
 		}
+		e.cal.advance(e.slot)
 		fired := e.admitArrivals()
 		if e.processCompletions() {
 			fired = true
@@ -431,6 +440,7 @@ func (e *Engine) runNaive() (*Result, error) {
 			return nil, fmt.Errorf("%w: slot %d, %d/%d jobs finished",
 				ErrSlotOverflow, e.slot, e.finishedJobs, total)
 		}
+		e.cal.advance(e.slot)
 		e.admitArrivals()
 		e.processCompletions()
 		if e.free > 0 && e.aliveCount > 0 {
@@ -581,8 +591,8 @@ func (e *Engine) activate(tr *taskRun, idx int) {
 		tr.best, tr.bestFinish, tr.bestSeq = int32(idx), c.finish, c.seq
 		e.cal.push(tr)
 	case c.finish < tr.bestFinish || (c.finish == tr.bestFinish && c.seq < tr.bestSeq):
-		tr.best, tr.bestFinish, tr.bestSeq = int32(idx), c.finish, c.seq
-		e.cal.decreased(tr)
+		tr.best = int32(idx)
+		e.cal.decrease(tr, c.finish, c.seq)
 	}
 }
 

@@ -122,7 +122,7 @@ func resize[T any](s []T, n int) []T {
 // failed, and lists w as idle. jobs and tasks are the numbers of job and
 // task records the run materialized.
 func (w *workspace) release(jobs, tasks int) {
-	if len(w.cal.a) > 0 || len(w.gatedJobs) > 0 {
+	if w.cal.size() > 0 || len(w.gatedJobs) > 0 {
 		// The run stopped with copies live: recycle their task runs.
 		for i := range w.tasks[:tasks] {
 			t := &w.tasks[i]
@@ -132,8 +132,7 @@ func (w *workspace) release(jobs, tasks int) {
 			}
 		}
 	}
-	clear(w.cal.a)
-	w.cal.a = w.cal.a[:0]
+	w.cal.reset()
 	clear(w.gatedJobs)
 	clear(w.alivePos)
 	clear(w.alive)
@@ -172,6 +171,7 @@ func (w *workspace) newRun() *taskRun {
 func (w *workspace) releaseRun(tr *taskRun) {
 	tr.copies = tr.copies[:0]
 	tr.task, tr.owner = nil, nil
+	tr.next, tr.prev = nil, nil
 	tr.best = -1
 	tr.pos = -1
 	w.runFree = append(w.runFree, tr)

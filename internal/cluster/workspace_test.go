@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"mrclone/internal/cluster"
+	"mrclone/internal/dist"
 	"mrclone/internal/job"
 	"mrclone/internal/rng"
 	"mrclone/internal/runner"
@@ -33,6 +34,10 @@ type reuseRun struct {
 	specs   []job.Spec
 	cfg     cluster.Config
 	wantErr error // nil for a run that must finish
+
+	// leavesAll requires the run to stop with tasks on the calendar's wheel
+	// and in its overflow heap, and with gated copies.
+	leavesAll bool
 }
 
 func (r reuseRun) run(t *testing.T) (*cluster.Result, error) {
@@ -45,12 +50,17 @@ func (r reuseRun) run(t *testing.T) (*cluster.Result, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng.Run()
+	res, live, err := cluster.RunReportingLive(eng)
+	if r.leavesAll && (live.Wheel == 0 || live.Overflow == 0 || live.GatedJobs == 0) {
+		t.Fatalf("%s: stopped with %+v; want every kind left live", r.name, live)
+	}
+	return res, err
 }
 
 // TestEngineWorkspaceReuse interleaves, on one goroutine, successful runs of
 // every scheduler on a 60-job and a 300-job trace with runs that fail midway
-// (MaxSlots overflow with copies live and gated, a non-finite workload), and
+// (a MaxSlots overflow with tasks left on the calendar's wheel and in its
+// overflow heap and with gated copies, a non-finite workload), and
 // requires every successful Result to equal the same run made in reverse
 // order — that is, after a different predecessor left its workspace behind.
 // It then runs one matrix twice through the runner's worker pool with a
@@ -71,14 +81,24 @@ func TestEngineWorkspaceReuse(t *testing.T) {
 			break
 		}
 	}
-	// Offline with gated reduces, stopped 200 slots after the first arrival,
-	// leaves both calendar entries and gated copies behind.
+	// Offline with gated reduces, stopped 9,000 slots after the first
+	// arrival, leaves tasks on the calendar's wheel and gated copies behind.
+	// An extra job arriving 500 slots before the stop, whose one task runs
+	// far past MaxSlots (so its duration is clamped to MaxSlots+1), leaves
+	// a task in the overflow heap beyond the wheel's span.
 	first := large[0].Arrival
 	for _, s := range large {
 		first = min(first, s.Arrival)
 	}
-	overflow := reuseRun{name: "overflow", sched: "offline", specs: large,
-		cfg: cluster.Config{Machines: 600, Seed: 3, MaxSlots: first + 200}, wantErr: cluster.ErrSlotOverflow}
+	long, err := dist.NewDeterministic(1e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withLong := append(append([]job.Spec(nil), large...),
+		job.Spec{ID: 1 << 20, Arrival: first + 8500, Weight: 1, MapTasks: 1, MapDist: long})
+	overflow := reuseRun{name: "overflow", sched: "offline", specs: withLong,
+		cfg:     cluster.Config{Machines: 600, Seed: 3, MaxSlots: first + 9000},
+		wantErr: cluster.ErrSlotOverflow, leavesAll: true}
 	nonFinite := reuseRun{name: "non-finite", sched: "srptms+c", specs: poisoned,
 		cfg: cluster.Config{Machines: 120, Seed: 4}, wantErr: cluster.ErrNonFiniteWorkload}
 

@@ -74,10 +74,12 @@ type BoundedPareto struct {
 var _ Distribution = BoundedPareto{}
 
 // NewBoundedPareto returns a Pareto distribution truncated to [lo, hi],
-// requiring 0 < lo < hi and alpha > 0. The returned sampler caches the
-// truncation constant, halving the transcendental cost per draw versus a
-// bare BoundedPareto literal — it matters because the engine samples one
-// duration per task copy, millions of draws per experiment.
+// requiring 0 < lo < hi and alpha > 0. The returned sampler caches what a
+// draw does not depend on — the truncation constant and the split of the
+// exponent -1/alpha that math.Pow would redo per call — and the analytic
+// moments. It matters because the engine samples one duration per task
+// copy, millions of draws per experiment, and reads a job's phase moments
+// every run.
 func NewBoundedPareto(lo, hi, alpha float64) (Distribution, error) {
 	if math.IsNaN(lo) || math.IsInf(lo, 0) || lo <= 0 {
 		return nil, fmt.Errorf("%w: bounded pareto lower bound %v", ErrBadParam, lo)
@@ -89,40 +91,57 @@ func NewBoundedPareto(lo, hi, alpha float64) (Distribution, error) {
 		return nil, fmt.Errorf("%w: bounded pareto alpha %v", ErrBadParam, alpha)
 	}
 	b := BoundedPareto{Lo: lo, Hi: hi, Alpha: alpha}
-	return preparedBoundedPareto{
-		BoundedPareto: b,
-		theta:         math.Pow(lo/hi, alpha),
-	}, nil
+	p := b.prepare()
+	p.mean, p.stdDev = b.Mean(), b.StdDev()
+	return p, nil
 }
 
-// preparedBoundedPareto is a BoundedPareto with its constant truncation term
-// precomputed. Mean and StdDev come from the embedded value.
+// preparedBoundedPareto is a BoundedPareto with every term a draw does not
+// depend on precomputed, and its moments cached; every value it returns is
+// bit-identical to the literal's.
 type preparedBoundedPareto struct {
 	BoundedPareto
-	theta float64
+	span         float64  // 1-(Lo/Hi)^Alpha
+	pow          fixedPow // x^(-1/Alpha)
+	mean, stdDev float64
 }
 
-// Sample implements Distribution with the cached truncation constant.
-func (b preparedBoundedPareto) Sample(src *rng.Source) float64 {
-	x := b.Lo * math.Pow(1-src.Float64()*(1-b.theta), -1/b.Alpha)
+// prepare precomputes b's sampling terms. It leaves the moments zero, so
+// the literal's SampleN can prepare once per batch without computing them.
+func (b BoundedPareto) prepare() preparedBoundedPareto {
+	return preparedBoundedPareto{
+		BoundedPareto: b,
+		span:          1 - math.Pow(b.Lo/b.Hi, b.Alpha),
+		pow:           newFixedPow(-1 / b.Alpha),
+	}
+}
+
+// draw maps one uniform u in [0, 1) to a variate, exactly as Sample does.
+func (b *preparedBoundedPareto) draw(u float64) float64 {
+	x := b.Lo * b.pow.at(1-u*b.span)
 	if x > b.Hi {
 		return b.Hi // guards round-off at the upper edge
 	}
 	return x
 }
 
-// SampleN implements BatchSampler: the engine's hottest sampling path, with
-// the truncation term and exponent held in locals across the batch.
+// Sample implements Distribution.
+func (b preparedBoundedPareto) Sample(src *rng.Source) float64 {
+	return b.draw(src.Float64())
+}
+
+// SampleN implements BatchSampler: the engine's hottest sampling path.
 func (b preparedBoundedPareto) SampleN(dst []float64, src *rng.Source) {
-	span, exp := 1-b.theta, -1/b.Alpha
 	for i := range dst {
-		x := b.Lo * math.Pow(1-src.Float64()*span, exp)
-		if x > b.Hi {
-			x = b.Hi // guards round-off at the upper edge
-		}
-		dst[i] = x
+		dst[i] = b.draw(src.Float64())
 	}
 }
+
+// Mean implements Distribution with the cached moment.
+func (b preparedBoundedPareto) Mean() float64 { return b.mean }
+
+// StdDev implements Distribution with the cached moment.
+func (b preparedBoundedPareto) StdDev() float64 { return b.stdDev }
 
 // Sample implements Distribution by inverting the truncated CDF:
 // Lo * (1 - U*(1-(Lo/Hi)^Alpha))^(-1/Alpha), which maps U=0 to Lo and U->1
@@ -136,11 +155,10 @@ func (b BoundedPareto) Sample(src *rng.Source) float64 {
 	return x
 }
 
-// SampleN implements BatchSampler, computing the truncation constant once
-// per batch (Sample recomputes it per draw).
+// SampleN implements BatchSampler, preparing the sampling terms once per
+// batch (Sample recomputes the truncation constant per draw).
 func (b BoundedPareto) SampleN(dst []float64, src *rng.Source) {
-	prepared := preparedBoundedPareto{BoundedPareto: b, theta: math.Pow(b.Lo/b.Hi, b.Alpha)}
-	prepared.SampleN(dst, src)
+	b.prepare().SampleN(dst, src)
 }
 
 // Mean implements Distribution.

@@ -249,8 +249,11 @@ func Init(j *Job, spec Spec, slab []Task, ptrs []*Task) error {
 	}
 	j.unfinished[phaseIdx(PhaseMap)] = spec.MapTasks
 	j.unfinished[phaseIdx(PhaseReduce)] = spec.ReduceTask
-	// Distribution moments can be expensive (numerical integrals); cache
-	// them once — schedulers evaluate priorities every slot.
+	// Schedulers read the phase moments on every invocation, so they are
+	// copied in once per run. Computing them can be expensive (closed forms
+	// over Pow and Log, numerical integrals); distributions built once per
+	// spec set cache their own instead (NewBoundedPareto does), which makes
+	// this a multiply apiece for the trace's scaled bounded-Pareto phases.
 	j.stats[phaseIdx(PhaseMap)] = spec.PhaseStats(PhaseMap)
 	j.stats[phaseIdx(PhaseReduce)] = spec.PhaseStats(PhaseReduce)
 	return nil

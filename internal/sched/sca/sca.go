@@ -11,7 +11,9 @@
 // constraint, so the exact optimizer of the discretized problem is greedy
 // marginal allocation ("water-filling"): repeatedly grant the next machine
 // to the task whose job gains the most weighted expected-duration reduction.
-// This substitution is documented in DESIGN.md §2.
+// This scheduler runs that greedy water-filling in place of a convex
+// solver; the two agree whenever the speedup model is concave, as every
+// dist.Speedup must be.
 //
 // Crucially, SCA does not prioritize across jobs the way SRPT does — the
 // paper's stated limitation of the cloning baselines is that "it remains a
@@ -20,7 +22,6 @@
 package sca
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -52,6 +53,7 @@ type Scheduler struct {
 	allocs []allocation
 	items  []*allocation
 	tasks  []*job.Task
+	coef   []float64 // coef[k] = 1/s(k) - 1/s(k+1); see gainAt
 }
 
 var _ cluster.Scheduler = (*Scheduler)(nil)
@@ -88,58 +90,90 @@ func (s *Scheduler) EventDriven() bool { return true }
 type allocation struct {
 	j      *job.Job
 	t      *job.Task
-	mean   float64 // E of the task's phase
-	weight float64 // job weight
+	we     float64 // job weight times the E of the task's phase
+	gain   float64 // gainAt(we, copies), refreshed whenever copies changes
 	copies int     // copies tentatively granted this slot
-	index  int     // heap index
 }
 
-// gain returns the weighted reduction in expected duration from granting one
-// more copy: w * E * (1/s(k) - 1/s(k+1)).
-func (s *Scheduler) gain(a *allocation) float64 {
-	k := float64(a.copies)
-	if a.copies >= s.cfg.MaxClonesPerTask {
+// gainAt returns the weighted reduction in expected duration from granting
+// a task holding k copies one more, w * E * (1/s(k) - 1/s(k+1)), with we =
+// w * E; zero at the clone cap. The speedup terms come from a table the
+// scheduler grows on demand, so the greedy loop makes no Speedup calls.
+func (s *Scheduler) gainAt(we float64, k int) float64 {
+	if k >= s.cfg.MaxClonesPerTask {
 		return 0
 	}
-	return a.weight * a.mean * (1/s.cfg.Speedup.At(k) - 1/s.cfg.Speedup.At(k+1))
-}
-
-// gainHeap is a max-heap of allocations by marginal gain.
-type gainHeap struct {
-	items []*allocation
-	s     *Scheduler
-}
-
-func (h gainHeap) Len() int { return len(h.items) }
-func (h gainHeap) Less(i, j int) bool {
-	gi, gj := h.s.gain(h.items[i]), h.s.gain(h.items[j])
-	if gi != gj {
-		return gi > gj
+	for n := len(s.coef); n <= k; n++ {
+		x := float64(n)
+		s.coef = append(s.coef, 1/s.cfg.Speedup.At(x)-1/s.cfg.Speedup.At(x+1))
 	}
-	// Deterministic tie-break: job then task index.
-	a, b := h.items[i], h.items[j]
+	return we * s.coef[k]
+}
+
+// before orders the water-filling max-heap: larger gain first, then job and
+// task index as a deterministic tie-break.
+func before(a, b *allocation) bool {
+	if a.gain != b.gain {
+		return a.gain > b.gain
+	}
 	if a.j.Spec.ID != b.j.Spec.ID {
 		return a.j.Spec.ID < b.j.Spec.ID
 	}
 	return a.t.ID.Index < b.t.ID.Index
 }
-func (h gainHeap) Swap(i, j int) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.items[i].index = i
-	h.items[j].index = j
+
+// siftDown restores heap order below h[i], making container/heap's
+// comparisons in container/heap's order. While every gain is a number the
+// comparator is a total order and any layout has the same top; a NaN gain
+// (an infinite mean times a zero speedup term) compares unordered, and
+// then only the same sequence picks the same top.
+func siftDown(h []*allocation, i int) {
+	n := len(h)
+	node := h[i]
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && before(h[r], h[child]) {
+			child = r
+		}
+		if !before(h[child], node) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	h[i] = node
 }
-func (h *gainHeap) Push(x interface{}) {
-	a := x.(*allocation)
-	a.index = len(h.items)
-	h.items = append(h.items, a)
-}
-func (h *gainHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	item := old[n-1]
-	old[n-1] = nil
-	h.items = old[:n-1]
-	return item
+
+// waterFill grants up to budget further copies across allocs, one at a
+// time, to the allocation with the largest marginal gain. Each allocation
+// caches its gain, refreshed only when it gains a copy, in a max-heap
+// rebuilt per call.
+func (s *Scheduler) waterFill(allocs []allocation, budget int) {
+	if budget <= 0 || len(allocs) == 0 {
+		return
+	}
+	h := s.items[:0]
+	for i := range allocs {
+		a := &allocs[i]
+		a.gain = s.gainAt(a.we, a.copies)
+		h = append(h, a)
+	}
+	s.items = h
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for ; budget > 0; budget-- {
+		top := h[0]
+		if top.gain <= 0 {
+			break
+		}
+		top.copies++
+		top.gain = s.gainAt(top.we, top.copies)
+		siftDown(h, 0)
+	}
 }
 
 // Schedule implements cluster.Scheduler.
@@ -172,7 +206,7 @@ func (s *Scheduler) Schedule(ctx *cluster.Context) {
 					break
 				}
 				allocs = append(allocs, allocation{
-					j: j, t: t, mean: stats.Mean, weight: j.Spec.Weight, copies: 1,
+					j: j, t: t, we: j.Spec.Weight * stats.Mean, copies: 1,
 				})
 				budget--
 			}
@@ -181,28 +215,7 @@ func (s *Scheduler) Schedule(ctx *cluster.Context) {
 	s.allocs = allocs
 
 	// Phase B: water-fill the remaining budget by marginal weighted gain.
-	// heap.Init and repeated pushes can lay the heap array out differently,
-	// but the comparator is a total order, so the element at the top — the
-	// only one the loop reads — is the unique maximum either way.
-	if budget > 0 && len(allocs) > 0 {
-		items := s.items[:0]
-		for i := range allocs {
-			allocs[i].index = i
-			items = append(items, &allocs[i])
-		}
-		s.items = items
-		h := &gainHeap{items: items, s: s}
-		heap.Init(h)
-		for budget > 0 && h.Len() > 0 {
-			top := h.items[0]
-			if s.gain(top) <= 0 {
-				break
-			}
-			top.copies++
-			budget--
-			heap.Fix(h, 0)
-		}
-	}
+	s.waterFill(allocs, budget)
 
 	// Launch every allocation.
 	for i := range allocs {

@@ -52,14 +52,13 @@ func TestMarginalGainDecreasing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := &allocation{mean: 100, weight: 2, copies: 1}
-	prev := s.gain(a)
+	const we = 2 * 100 // weight 2, mean 100
+	prev := s.gainAt(we, 1)
 	if prev <= 0 {
 		t.Fatalf("first marginal gain %v, want > 0", prev)
 	}
 	for k := 2; k < DefaultMaxClones; k++ {
-		a.copies = k
-		g := s.gain(a)
+		g := s.gainAt(we, k)
 		if g >= prev {
 			t.Fatalf("gain not decreasing at k=%d: %v >= %v", k, g, prev)
 		}
@@ -68,8 +67,7 @@ func TestMarginalGainDecreasing(t *testing.T) {
 		}
 		prev = g
 	}
-	a.copies = DefaultMaxClones
-	if s.gain(a) != 0 {
+	if s.gainAt(we, DefaultMaxClones) != 0 {
 		t.Error("gain beyond cap should be zero")
 	}
 }
